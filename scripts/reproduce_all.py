@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from designgate.report import render
@@ -22,7 +23,6 @@ DOCUMENTED = ("thm5.2 stage t=4", "thm5.2 stage t=5")
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="reports", help="directory for JSON reports")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--no-timestamp", action="store_true")
     args = ap.parse_args()
 
@@ -32,8 +32,9 @@ def main() -> int:
 
     unexpected = 0
     for tid in THEOREM_IDS:
-        outcome = run_theorem(tid, jobs=args.jobs, store=store,
-                              timestamp=not args.no_timestamp)
+        start = time.perf_counter()
+        outcome = run_theorem(tid, store=store, timestamp=not args.no_timestamp)
+        seconds = time.perf_counter() - start
         path = out_dir / f"{tid.replace('.', '_')}.json"
         path.write_text(render(outcome.report, "json"))
         if not outcome.mismatches:
@@ -44,7 +45,7 @@ def main() -> int:
             status = "UNEXPECTED MISMATCH"
             unexpected += 1
         surv = outcome.report.surviving_set
-        print(f"{tid:8s} surviving {len(surv):3d}  {status}  -> {path}")
+        print(f"{tid:8s} surviving {len(surv):3d}  {seconds:6.2f} s  {status}  -> {path}")
         for line in outcome.mismatches:
             print(f"         {line}")
     return 1 if unexpected else 0

@@ -7,7 +7,6 @@ Subcommands: lambda, scan, gate, theorem, wenum.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .families import (
@@ -27,6 +26,7 @@ from .store import ResultStore
 from .theorems import THEOREM_IDS, run_theorem
 
 _FAMILY_INDEX = {label: r for r, label in enumerate(FAMILY_LABELS)}
+_JOBS_HELP = "accepted for compatibility and ignored: the work runs serially"
 
 
 def _add_common(p: argparse.ArgumentParser, *, fmt: bool = True) -> None:
@@ -56,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m-min", type=int, default=None)
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: available parallelism)")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_common(p)
 
     p = sub.add_parser("gate", help="run one integrality gate")
@@ -71,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", choices=THEOREM_IDS)
     p.add_argument("--t", type=int, default=None,
                    help="for thm5.x: stop the ladder at this strength")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_common(p)
 
     p = sub.add_parser("wenum", help="extremal weight enumerator coefficients")
@@ -88,12 +87,9 @@ def _emit(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
-        return args.jobs
-    return os.cpu_count() or 1
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
 
 
 def _cmd_lambda(args) -> int:
@@ -101,6 +97,8 @@ def _cmd_lambda(args) -> int:
     if not 1 <= args.m <= f.m_max:
         raise ValueError(f"m = {args.m} outside [1, {f.m_max}]")
     t_eff = apply_strengthening(f, args.t)
+    if t_eff > f.k:
+        raise ValueError(f"strength {t_eff} outside [{f.am_strength}, {f.k}]")
     for i in range(f.am_strength, t_eff + 1):
         v = lambda_at(f, i)
         flag = "INTEGRAL" if v.denominator == 1 else "NON-INTEGRAL"
@@ -109,8 +107,9 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    _check_jobs(args)
     r = _FAMILY_INDEX[args.family]
-    ms = admissible_scan(r, args.t, args.m_min, args.m_max, jobs=_jobs(args))
+    ms = admissible_scan(r, args.t, args.m_min, args.m_max)
     lo = args.m_min if args.m_min is not None else 1
     hi = args.m_max if args.m_max is not None else M_MAXES[r]
     report = Report(id="scan", inputs={"family": args.family, "t": args.t,
@@ -129,25 +128,31 @@ def _cmd_scan(args) -> int:
 
 def _cmd_gate(args) -> int:
     f = CodeFamily(args.m, _FAMILY_INDEX[args.family])
+    u = f.k if args.u is None else args.u
     store = ResultStore.from_env()
     try:
-        res = integrality_gate(f, args.t, args.u, store=store)
+        res = integrality_gate(f, args.t, u, store=store)
     except NonIntegralLambdaError as exc:
-        print(f"PRE-GATE FAIL: {exc}")
-        return 0
-    report = Report(id="gate", inputs={"family": args.family, "m": args.m,
-                                       "t": args.t, "u": res.u})
+        # The hypothesis already fails at the level counts: report each
+        # failing level with its exact value, and m as eliminated there.
+        rows = [lambda_row(args.m, i, v) for i, v in exc.levels]
+        rows.append(set_row("PRE-GATE FAIL", [args.m]))
+        surviving = []
+    else:
+        rows = [gate_row(res)]
+        surviving = [args.m] if res.integral else []
+    report = Report(id="gate", inputs={"family": args.family, "m": args.m, "t": args.t, "u": u},
+                    rows=rows, surviving_set=surviving)
     if not args.no_timestamp:
         report.generated_at = timestamp_now()
-    report.rows.append(gate_row(res))
-    report.surviving_set = [args.m] if res.integral else []
     _emit(render(report, args.format), args.out)
     return 0
 
 
 def _cmd_theorem(args) -> int:
+    _check_jobs(args)
     store = ResultStore.from_env()
-    outcome = run_theorem(args.id, jobs=_jobs(args), store=store,
+    outcome = run_theorem(args.id, store=store,
                           timestamp=not args.no_timestamp, upto_t=args.t)
     _emit(render(outcome.report, args.format), args.out)
     if outcome.mismatches:

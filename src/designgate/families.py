@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .combinat import binom
-from . import gleason
 
 AM_STRENGTHS = (5, 3, 1)
 M_MAXES = (153, 158, 163)
@@ -105,19 +105,29 @@ class DesignParams:
 
 
 def block_count(f: CodeFamily) -> int:
-    """Number of blocks b of the minimum-weight support design.
+    """Number of blocks b of the minimum-weight support design, which is the
+    minimum-weight coefficient of the extremal enumerator, in closed form
+    (Mallows-Sloane 1973; Rains-Sloane, "Self-dual codes", 1998):
 
-    For r = 0 this follows from the closed form lambda_5 = C(5m-2, m-1);
-    for r = 1, 2 it is the minimum-weight coefficient of the extremal
-    enumerator (there is no closed form).
+        r = 0:  b = C(5m-2, m-1) * C(n, 5) / C(k, 5)    (lambda_5 = C(5m-2, m-1))
+        r = 1:  b = n(n-1)(n-2)(n-4) * (5m)! / (4 * m! * (4m+4)!)
+        r = 2:  b = 3n(n-2) * (5m+2)! / (2 * m! * (4m+4)!)
+
+    The division is checked to be exact and b to be positive.
     """
+    n, m = f.n, f.m
     if f.r == 0:
-        lam5 = binom(5 * f.m - 2, f.m - 1)
-        b = Fraction(lam5 * binom(f.n, 5), binom(f.k, 5))
-        if b.denominator != 1 or b <= 0:
-            raise ValueError(f"degenerate block count for {f}")
-        return int(b)
-    return gleason.min_weight_count(f.n)
+        num, den = binom(5 * m - 2, m - 1) * binom(n, 5), binom(f.k, 5)
+    elif f.r == 1:
+        num = n * (n - 1) * (n - 2) * (n - 4) * factorial(5 * m)
+        den = 4 * factorial(m) * factorial(4 * m + 4)
+    else:
+        num = 3 * n * (n - 2) * factorial(5 * m + 2)
+        den = 2 * factorial(m) * factorial(4 * m + 4)
+    b, rem = divmod(num, den)
+    if rem or b <= 0:
+        raise ValueError(f"degenerate block count for {f}")
+    return b
 
 
 def lambda_at(f: CodeFamily, i: int) -> Fraction:
@@ -129,7 +139,7 @@ def lambda_at(f: CodeFamily, i: int) -> Fraction:
 
 def lambda_base(f: CodeFamily) -> Fraction:
     """lambda at the family's Assmus-Mattson strength: C(5m-2, m-1) for
-    r = 0, enumerator-derived b * C(k, s) / C(v, s) for r = 1, 2."""
+    r = 0, b * C(k, s) / C(v, s) for r = 1, 2."""
     if f.r == 0:
         return Fraction(binom(5 * f.m - 2, f.m - 1))
     return lambda_at(f, f.am_strength)
@@ -177,15 +187,16 @@ def apply_strengthening(f: CodeFamily, t: int) -> int:
     return t + 1 if t == f.am_strength + 1 else t
 
 
+def nonintegral_levels(values) -> list[tuple[int, Fraction]]:
+    """The (level, lambda) pairs among ``values`` whose lambda is not a
+    nonnegative integer (empty list means all pass)."""
+    return [(i, v) for i, v in values if v.denominator != 1 or v < 0]
+
+
 def check_lambda_levels(f: CodeFamily, levels) -> list[tuple[int, Fraction]]:
     """Return the (level, value) pairs among ``levels`` whose lambda is not a
     nonnegative integer (empty list means all pass)."""
-    bad = []
-    for i in levels:
-        v = lambda_at(f, i)
-        if v.denominator != 1 or v < 0:
-            bad.append((i, v))
-    return bad
+    return nonintegral_levels((i, lambda_at(f, i)) for i in levels)
 
 
 def scan_levels(f: CodeFamily, t: int) -> range:
@@ -194,20 +205,14 @@ def scan_levels(f: CodeFamily, t: int) -> range:
     return range(f.am_strength + 1, apply_strengthening(f, t) + 1)
 
 
-def _scan_one(args) -> tuple[int, bool]:
-    r, t, m = args
-    f = CodeFamily(m, r)
-    return m, not check_lambda_levels(f, scan_levels(f, t))
-
-
 def admissible_scan(r: int, t: int, m_lo: int | None = None, m_hi: int | None = None,
                     jobs: int = 1) -> list[int]:
     """All m in [m_lo, m_hi] for which every lambda level required by a
     strength-t hypothesis is a nonnegative integer, ascending.
 
-    Defaults to the family's full range [1, m_max].  ``jobs`` > 1 fans the
-    range out over worker processes; the result is merged in ascending m
-    order and does not depend on the schedule.
+    Defaults to the family's full range [1, m_max].  ``jobs`` is accepted
+    for compatibility and ignored: the scan runs serially, which beats a
+    process pool now that block counts are closed forms.
     """
     m_max = M_MAXES[r]
     if m_lo is None:
@@ -216,12 +221,5 @@ def admissible_scan(r: int, t: int, m_lo: int | None = None, m_hi: int | None = 
         m_hi = m_max
     if not 1 <= m_lo <= m_hi <= m_max:
         raise ValueError(f"need 1 <= m_lo <= m_hi <= {m_max}, got [{m_lo}, {m_hi}]")
-    tasks = [(r, t, m) for m in range(m_lo, m_hi + 1)]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_scan_one, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-    else:
-        results = [_scan_one(task) for task in tasks]
-    return [m for m, ok in sorted(results) if ok]
+    members = (CodeFamily(m, r) for m in range(m_lo, m_hi + 1))
+    return [f.m for f in members if not check_lambda_levels(f, scan_levels(f, t))]

@@ -40,9 +40,9 @@ from .families import (
     CodeFamily,
     DesignParams,
     NonIntegralLambdaError,
-    check_lambda_levels,
     lambda_at,
     lambda_vector,
+    nonintegral_levels,
 )
 
 PASS = "PASS"
@@ -139,7 +139,8 @@ def annihilator_divisor(l: int) -> int:
     divisor = 1
     for x in OffsetSet.default(l).xs:
         divisor *= 2 * l - x
-    assert divisor == 2**l * math.factorial(l)
+    if divisor != 2**l * math.factorial(l):
+        raise ArithmeticError(f"annihilator divisor {divisor} != 2^{l} * {l}!")
     return divisor
 
 
@@ -155,7 +156,8 @@ def residual_coefficient(i: int, l: int) -> int:
     q, r = divmod(prod, annihilator_divisor(l))
     if r:
         raise ArithmeticError(f"inexact residual division for i={i}, l={l}")
-    assert q == binom(i // 2, l)
+    if q != binom(i // 2, l):
+        raise ArithmeticError(f"residual coefficient {q} != C({i // 2}, {l})")
     return q
 
 
@@ -173,8 +175,10 @@ class GateResult:
     verdict: str
 
     def __post_init__(self):
-        assert self.integral == (self.quotient.denominator == 1)
-        assert self.verdict == (PASS if self.integral else FAIL_NONINTEGER)
+        if self.integral != (self.quotient.denominator == 1):
+            raise ValueError(f"integral={self.integral} contradicts quotient {self.quotient}")
+        if self.verdict != (PASS if self.integral else FAIL_NONINTEGER):
+            raise ValueError(f"verdict {self.verdict!r} contradicts integral={self.integral}")
 
     @staticmethod
     def build(family: int, m: int, t: int, u: int, F: int, divisor: int) -> "GateResult":
@@ -209,10 +213,10 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) ->
         cached = store.get(f.r, f.m, t, u)
         if cached is not None:
             return cached
-    bad = check_lambda_levels(f, range(t + 1))
+    lambdas = [lambda_at(f, i) for i in range(t + 1)]
+    bad = nonintegral_levels(enumerate(lambdas))
     if bad:
         raise NonIntegralLambdaError(f, bad)
-    lambdas = [lambda_at(f, i) for i in range(t + 1)]
     moments = moment_vector(u, lambdas)
     F = offset_product_sum(OffsetSet.default(t), moments)
     result = GateResult.build(f.r, f.m, t, u, F, annihilator_divisor(t))

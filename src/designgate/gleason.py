@@ -21,9 +21,11 @@ coefficient lists over the variable z = y^4/x^4:
 Each basis element j has leading z-term z^j, so forcing A_0, A_4, ...,
 A_{4 floor(n/24)} makes the linear system for the combination unit
 triangular: the combination is found by one pass of forward elimination.
-The block counts needed by the code-family scans only require the prefix
-of the series up to z^{floor(n/24)+2}, so the elimination is run on
-truncated series; full enumerators use the same routine untruncated.
+Full enumerators (and the test oracle :func:`min_weight_count`) come from
+that series.  The drivers need only the minimum-weight count, which has a
+closed form (:func:`designgate.families.block_count`), and the sign of the
+next coefficient, which :func:`next_weight_count` gets by Lagrange-Buermann
+inversion in O(floor(n/24)) integer operations.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ LENGTH_CAP = 24 * 163 + 16
 _PHI = (1, 14, 1)
 _PSI = (0, 1, -4, 6, -4, 1)
 
-# Truncation used by the shared power table; covers the prefix
-# floor(n/24) + 2 for every n up to LENGTH_CAP, with slack.
+# Truncation used by the shared power table: it covers the full n/4 + 1
+# coefficients that extremal_weight_enumerator (wenum, deep_u) needs for
+# n <= 688, and the short prefixes the tests read through min_weight_count
+# and _extremal_prefix.
 _TABLE_TRUNC = 172
 
 
@@ -59,7 +63,8 @@ def _mul(a: list[int], b, trunc: int) -> list[int]:
 
 def _div(a: list[int], b, trunc: int) -> list[int]:
     """Truncated power-series division a/b; requires b[0] == 1 (exact)."""
-    assert b[0] == 1
+    if b[0] != 1:
+        raise ValueError(f"series division needs constant term 1, got {b[0]}")
     out = [0] * (trunc + 1)
     rem = list(a) + [0] * (trunc + 1 - len(a))
     for i in range(trunc + 1):
@@ -227,7 +232,9 @@ def extremal_weight_enumerator(n: int) -> WeightEnumerator:
 
 def min_weight_count(n: int) -> int:
     """Block count of the minimum-weight support design: the coefficient
-    A_{4 floor(n/24) + 4} of the extremal enumerator."""
+    A_{4 floor(n/24) + 4} of the extremal enumerator, read off the series.
+    The drivers use the closed forms of :func:`designgate.families.block_count`;
+    this is their test oracle."""
     nz = n // 24
     b = _extremal_prefix(n, nz + 2)[nz + 1]
     if b <= 0:
@@ -238,10 +245,58 @@ def min_weight_count(n: int) -> int:
     return b
 
 
+def _exact_div(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"inexact division {num} / {den}")
+    return q
+
+
+def _phi_power_prefix(e: int, terms: int) -> list[int]:
+    """The first ``terms`` coefficients of PHI^e for any integer e, from the
+    recurrence PHI * P' = e * PHI' * P."""
+    p = [1] + [0] * (terms - 1)
+    for k in range(1, terms):
+        prev = p[k - 2] if k > 1 else 0
+        p[k] = _exact_div(14 * (e - k + 1) * p[k - 1] + (2 * e - k + 2) * prev, k)
+    return p
+
+
+def _burmann_coefficient(a: int, j: int) -> int:
+    """c_j = [g^j] PHI^(-a) with g = PSI / PHI^3 = z + O(z^2), by
+    Lagrange-Buermann inversion:
+
+        c_j = (-a / j) [z^(j-1)] PHI' * PHI^(3j-a-1) * (1 - z)^(-4j).
+    """
+    p = _phi_power_prefix(3 * j - a - 1, j)
+    total = 0
+    q = 1  # [z^i] (1 - z)^(-4j) = C(4j + i - 1, i)
+    for i in range(j):
+        d = j - 1 - i
+        total += (14 * p[d] + (2 * p[d - 1] if d else 0)) * q
+        q = _exact_div(q * (4 * j + i), i + 1)
+    return _exact_div(-a * total, j)
+
+
 def next_weight_count(n: int) -> int:
-    """Coefficient at the next weight above the minimum (weight 4*floor(n/24) + 8)."""
-    nz = n // 24
-    return _extremal_prefix(n, nz + 2)[nz + 2]
+    """Coefficient A_{k+4} of the extremal enumerator at the weight above the
+    minimum k = 4*floor(n/24) + 4.
+
+    With a = n/8 and m = floor(n/24), the extremal enumerator over x^n is
+    PHI^a * sum_{j<=m} c_j g^j = 1 - sum_{j>m} c_j PHI^(a-3j) PSI^j, where
+    c_j = [g^j] PHI^(-a).  Its coefficients at z^(m+1) and z^(m+2) therefore
+    involve c_{m+1} and c_{m+2} alone:
+
+        A_k     = -c_{m+1}
+        A_{k+4} = -c_{m+2} - c_{m+1} * (14a - 46(m+1)).
+
+    O(m) integer operations, each division checked; the series prefix is
+    the test oracle.
+    """
+    _validate_length(n)
+    a, m = n // 8, n // 24
+    return (-_burmann_coefficient(a, m + 2)
+            - _burmann_coefficient(a, m + 1) * (14 * a - 46 * (m + 1)))
 
 
 def solve_basis_combination(n: int) -> list[Fraction]:

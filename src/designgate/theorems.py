@@ -84,42 +84,30 @@ def _diff(label: str, computed, expected) -> list[str]:
     return [f"{label}: computed {sorted(got)} != reference {sorted(want)} ({'; '.join(parts)})"]
 
 
-def _eval_stage_member(args):
-    """Worker: run one candidate m through one stage.  Returns (m, bad
-    lambda levels, gate results in execution order, surviving flag)."""
-    r, m, lambda_levels, gate_ls = args
-    f = CodeFamily(m, r)
-    bad = check_lambda_levels(f, lambda_levels)
-    if bad:
-        return m, [(i, str(v)) for i, v in bad], [], False
+def _eval_stage_member(f: CodeFamily, stage: Stage) -> tuple[list[GateResult], bool]:
+    """Run one candidate through one stage.  Returns its gate results in
+    execution order and whether it survives."""
+    if check_lambda_levels(f, stage.lambda_levels):
+        return [], False
     results: list[GateResult] = []
-    for l in gate_ls:
+    for l in stage.gate_ls:
         res = integrality_gate(f, l, f.k)
         results.append(res)
         if not res.integral:
-            return m, [], results, False
+            return results, False
         if next_weight_count(f.n) > 0:
             res = integrality_gate(f, l, f.k + 4)
             results.append(res)
             if not res.integral:
-                return m, [], results, False
-    return m, [], results, True
+                return results, False
+    return results, True
 
 
-def _map_tasks(fn, tasks, jobs: int):
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-    return [fn(task) for task in tasks]
-
-
-def _run_stage(r: int, stage: Stage, candidates: list[int], jobs: int, store,
+def _run_stage(r: int, stage: Stage, candidates: list[int], store,
                rows: list[dict]) -> list[int]:
-    tasks = [(r, m, stage.lambda_levels, stage.gate_ls) for m in candidates]
     survivors = []
-    for m, _bad, results, alive in sorted(_map_tasks(_eval_stage_member, tasks, jobs)):
+    for m in candidates:
+        results, alive = _eval_stage_member(CodeFamily(m, r), stage)
         for res in results:
             if store is not None:
                 store.put(res)
@@ -130,7 +118,7 @@ def _run_stage(r: int, stage: Stage, candidates: list[int], jobs: int, store,
     return survivors
 
 
-def _run_staged(theorem_id: str, r: int, stages, reference: dict, jobs: int, store,
+def _run_staged(theorem_id: str, r: int, stages, reference: dict, store,
                 upto_t: int | None) -> TheoremOutcome:
     if upto_t is not None and upto_t < stages[0].t:
         raise ValueError(f"{theorem_id} starts at strength {stages[0].t}; "
@@ -142,32 +130,30 @@ def _run_staged(theorem_id: str, r: int, stages, reference: dict, jobs: int, sto
     for stage in stages:
         if upto_t is not None and stage.t > upto_t:
             break
-        candidates = _run_stage(r, stage, candidates, jobs, store, report.rows)
+        candidates = _run_stage(r, stage, candidates, store, report.rows)
         mismatches += _diff(f"{theorem_id} stage t={stage.t}", candidates,
                             reference[stage.t])
     report.surviving_set = candidates
     return TheoremOutcome(report, mismatches)
 
 
-def _gate_eval(args):
-    r, m, t, u_offset = args
-    f = CodeFamily(m, r)
-    return m, integrality_gate(f, t, f.k + u_offset)
+def _gate_24m(m: int, t: int, u_offset: int) -> GateResult:
+    f = CodeFamily(m, 0)
+    return integrality_gate(f, t, f.k + u_offset)
 
 
-def _chain_24m(jobs: int, store):
+def _chain_24m(store):
     """The family-24m elimination chain shared by lemma1/thm1/thm2/thm3/thm4:
     the strength-6 lambda scan, then the strength-7 gates at u = k and
     u = k + 4."""
-    M = admissible_scan(0, 6, jobs=jobs)
-    res_k = [r for _, r in sorted(_map_tasks(_gate_eval, [(0, m, 7, 0) for m in M], jobs))]
+    M = admissible_scan(0, 6)
+    res_k = [_gate_24m(m, 7, 0) for m in M]
     elim_k = [r.m for r in res_k if not r.integral]
     remainder = [m for m in M if m not in elim_k]
     for m in remainder:
         if next_weight_count(24 * m) <= 0:
             raise ValueError(f"vacuous u = k + 4 gate at m = {m}: no codewords there")
-    res_k4 = [r for _, r in sorted(_map_tasks(_gate_eval,
-                                              [(0, m, 7, 4) for m in remainder], jobs))]
+    res_k4 = [_gate_24m(m, 7, 4) for m in remainder]
     elim_k4 = [r.m for r in res_k4 if not r.integral]
     survivors = [m for m in remainder if m not in elim_k4]
     if store is not None:
@@ -178,26 +164,29 @@ def _chain_24m(jobs: int, store):
 
 def run_theorem(theorem_id: str, jobs: int = 1, store=None, timestamp: bool = True,
                 upto_t: int | None = None) -> TheoremOutcome:
-    """Run the named driver; returns its report and any reference mismatches."""
+    """Run the named driver; returns its report and any reference mismatches.
+
+    ``jobs`` is accepted for compatibility and ignored: drivers run serially,
+    which beats a process pool now that block counts are closed forms."""
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown id {theorem_id!r}; expected one of {THEOREM_IDS}")
     if theorem_id == "thm5.1":
-        out = _run_staged(theorem_id, 1, STAGES_24M8, ref.THM51_SETS, jobs, store, upto_t)
+        out = _run_staged(theorem_id, 1, STAGES_24M8, ref.THM51_SETS, store, upto_t)
     elif theorem_id == "thm5.2":
-        out = _run_staged(theorem_id, 2, STAGES_24M16, ref.THM52_SETS, jobs, store, upto_t)
+        out = _run_staged(theorem_id, 2, STAGES_24M16, ref.THM52_SETS, store, upto_t)
     else:
         if upto_t is not None:
             raise ValueError("--t staging only applies to thm5.1 / thm5.2")
-        out = _run_24m(theorem_id, jobs, store)
+        out = _run_24m(theorem_id, store)
     if timestamp:
         out.report.generated_at = timestamp_now()
     return out
 
 
-def _run_24m(theorem_id: str, jobs: int, store) -> TheoremOutcome:
+def _run_24m(theorem_id: str, store) -> TheoremOutcome:
     report = Report(id=theorem_id, inputs={"family": "24m", "m_range": [1, 153]})
     mism: list[str] = []
-    M, res_k, elim_k, res_k4, elim_k4, survivors = _chain_24m(jobs, store)
+    M, res_k, elim_k, res_k4, elim_k4, survivors = _chain_24m(store)
     report.rows.append(set_row("strength-6 lambda-admissible", M))
     mism += _diff(f"{theorem_id} lambda-admissible set", M, ref.LEMMA1_M)
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from designgate.cli import main
+from designgate.cli import build_parser, main
+from designgate.report import FORMATS
 
 
 @pytest.fixture(autouse=True)
@@ -28,6 +29,24 @@ def test_lambda_flags_nonintegral(capsys):
 def test_lambda_out_of_range_exits_2(capsys):
     assert main(["lambda", "--family", "24m", "--m", "154", "--t", "6"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_lambda_strength_above_k_exits_2_before_output(capsys):
+    assert main(["lambda", "--family", "24m", "--m", "8", "--t", "700"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: strength 700 outside [5, 36]" in captured.err
+
+
+def test_jobs_default_to_one_and_reject_zero(capsys):
+    parser = build_parser()
+    assert parser.parse_args(["scan", "--family", "24m", "--t", "6"]).jobs == 1
+    assert parser.parse_args(["theorem", "lemma1"]).jobs == 1
+    assert main(["scan", "--family", "24m", "--t", "6", "--jobs", "0"]) == 2
+    assert main(["theorem", "lemma1", "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("--jobs must be >= 1") == 2
 
 
 def test_scan_lemma1_table(capsys):
@@ -75,6 +94,27 @@ def test_gate_command_and_cache(tmp_path, capsys):
 def test_gate_pre_gate_lambda_failure(capsys):
     assert main(["gate", "--family", "24m", "--m", "1", "--t", "6"]) == 0
     assert "PRE-GATE FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_gate_pre_gate_failure_is_a_report(tmp_path, capsys, fmt):
+    args = ["gate", "--family", "24m", "--m", "7", "--t", "7", "--format", fmt,
+            "--no-timestamp"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert main(args + ["--out", str(tmp_path / "x")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "x").read_text() == out
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["inputs"] == {"family": "24m", "m": 7, "t": 7, "u": 32}
+        assert [(r["level"], r["value"], r["integral"]) for r in data["rows"]
+                if r["row"] == "lambda"] == [(6, "29904336/163", False),
+                                             (7, "14398384/489", False)]
+        assert data["surviving_set"] == []
+    else:
+        assert "29904336/163" in out and "14398384/489" in out
+        assert "PRE-GATE FAIL" in out
 
 
 def test_gate_bad_u_exits_2(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from designgate.combinat import binom
 from designgate.families import (
+    M_MAXES,
     CodeFamily,
     DesignParams,
     admissible_scan,
@@ -18,6 +19,7 @@ from designgate.families import (
     lambda_base,
     lambda_vector,
 )
+from designgate.gleason import min_weight_count
 
 M_LEMMA1 = [5, 8, 15, 19, 35, 40, 41, 42, 50, 51, 52, 55, 57, 59, 60, 63, 65,
             74, 75, 76, 80, 86, 90, 93, 100, 101, 104, 105, 107, 118, 125, 127,
@@ -40,6 +42,15 @@ def test_family_validation():
     with pytest.raises(ValueError):
         CodeFamily(0, 0)  # length 0
     CodeFamily(0, 1)  # length 8 base case is fine
+
+
+@pytest.mark.parametrize("r", range(3))
+def test_block_count_closed_form_matches_enumerator(r):
+    # m = 1, every m = 0 (mod 5) and the top m of the family
+    ms = sorted({1, M_MAXES[r], *range(5 if r == 0 else 0, M_MAXES[r] + 1, 5)})
+    for m in ms:
+        f = CodeFamily(m, r)
+        assert block_count(f) == min_weight_count(f.n), f
 
 
 def test_lambda_base_closed_form():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -210,3 +214,27 @@ def test_oracle_200_random_vectors():
                 prod *= i - x
             direct += prod * n
         assert offset_product_sum(offsets, moments) == direct
+
+
+def test_tampered_gate_result_rejected_under_python_O():
+    # GateResult's invariants are explicit raises, so they hold with
+    # assertions compiled out.
+    code = (
+        "import dataclasses\n"
+        "from designgate.families import CodeFamily\n"
+        "from designgate.gate import integrality_gate\n"
+        "assert False, 'assertions are on'\n"
+        "res = integrality_gate(CodeFamily(8, 0), 7)\n"
+        "print(res.verdict)\n"
+        "try:\n"
+        "    dataclasses.replace(res, verdict='PASS')\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [FAIL_NONINTEGER, "rejected"]

@@ -1,9 +1,11 @@
 import pytest
 
 from designgate.combinat import binom
+from designgate.families import M_MAXES
 from designgate.gleason import (
     GLEASON_G2,
     LENGTH_CAP,
+    _extremal_prefix,
     extremal_weight_enumerator,
     gleason_basis,
     min_weight_count,
@@ -77,8 +79,35 @@ def test_closed_form_cross_check_sample():
         assert min_weight_count(n) * binom(k, 5) == binom(5 * m - 2, m - 1) * binom(n, 5)
 
 
+@pytest.mark.parametrize("r", range(3))
+def test_next_weight_count_matches_series(r):
+    # m = 1, every m = 0 (mod 5) and the top m of the family
+    for m in sorted({1, M_MAXES[r], *range(5 if r == 0 else 0, M_MAXES[r] + 1, 5)}):
+        n = 24 * m + 8 * r
+        nz = n // 24
+        assert next_weight_count(n) == _extremal_prefix(n, nz + 2)[nz + 2], n
+
+
+def test_next_weight_count_positive_in_range():
+    lengths = [24 * m + 8 * r for r in range(3) for m in range(1, M_MAXES[r] + 1)]
+    assert len(lengths) == 474
+    assert all(next_weight_count(n) > 0 for n in lengths)
+
+
+def test_next_weight_count_nonpositive_past_m_max():
+    # Zhang's nonexistence bound, where M_MAXES comes from: one step past
+    # the top m of families 24m and 24m+8 the next coefficient is no longer
+    # positive (24m+16 at m = 164 lies beyond LENGTH_CAP).
+    assert next_weight_count(24 * 154) <= 0
+    assert next_weight_count(24 * 159 + 8) <= 0
+
+
 def test_length_validation():
     with pytest.raises(ValueError):
         min_weight_count(12)
+    with pytest.raises(ValueError):
+        next_weight_count(12)
+    with pytest.raises(ValueError):
+        next_weight_count(LENGTH_CAP + 8)
     with pytest.raises(ValueError):
         extremal_weight_enumerator(LENGTH_CAP + 8)
