@@ -12,12 +12,12 @@ import sys
 from .families import (
     CodeFamily,
     FAMILY_LABELS,
-    M_MAXES,
     NonIntegralLambdaError,
-    admissible_scan,
     apply_strengthening,
-    lambda_at,
+    lambda_levels,
+    nonintegral_levels,
     scan_levels,
+    scan_range,
 )
 from .gate import integrality_gate
 from .gleason import LENGTH_CAP, extremal_weight_enumerator
@@ -99,8 +99,8 @@ def _cmd_lambda(args) -> int:
     t_eff = apply_strengthening(f, args.t)
     if t_eff > f.k:
         raise ValueError(f"strength {t_eff} outside [{f.am_strength}, {f.k}]")
-    for i in range(f.am_strength, t_eff + 1):
-        v = lambda_at(f, i)
+    levels = range(f.am_strength, t_eff + 1)
+    for i, v in zip(levels, lambda_levels(f, levels)):
         flag = "INTEGRAL" if v.denominator == 1 else "NON-INTEGRAL"
         print(f"lambda_{i} = {exact_str(v)}  {flag}")
     return 0
@@ -109,17 +109,19 @@ def _cmd_lambda(args) -> int:
 def _cmd_scan(args) -> int:
     _check_jobs(args)
     r = _FAMILY_INDEX[args.family]
-    ms = admissible_scan(r, args.t, args.m_min, args.m_max)
-    lo = args.m_min if args.m_min is not None else 1
-    hi = args.m_max if args.m_max is not None else M_MAXES[r]
+    m_range = scan_range(r, args.m_min, args.m_max)
     report = Report(id="scan", inputs={"family": args.family, "t": args.t,
-                                       "m_range": [lo, hi]})
+                                       "m_range": [m_range[0], m_range[-1]]})
     if not args.no_timestamp:
         report.generated_at = timestamp_now()
-    for m in range(lo, hi + 1):
+    ms = []
+    for m in m_range:
         f = CodeFamily(m, r)
-        for i in scan_levels(f, args.t):
-            report.rows.append(lambda_row(m, i, lambda_at(f, i)))
+        levels = scan_levels(f, args.t)
+        values = list(zip(levels, lambda_levels(f, levels)))
+        report.rows += [lambda_row(m, i, v) for i, v in values]
+        if not nonintegral_levels(values):
+            ms.append(m)
     report.rows.append(set_row("admissible", ms))
     report.surviving_set = ms
     _emit(render(report, args.format), args.out)

@@ -100,9 +100,6 @@ class DesignParams:
         if self.self_orthogonal and self.k % 2:
             raise ValueError("self-orthogonal design needs even block size")
 
-    def is_realizable_level(self) -> bool:
-        return Fraction(self.lambda_t).denominator == 1
-
 
 def block_count(f: CodeFamily) -> int:
     """Number of blocks b of the minimum-weight support design, which is the
@@ -130,11 +127,24 @@ def block_count(f: CodeFamily) -> int:
     return b
 
 
+def lambda_levels(f: CodeFamily, levels) -> list[Fraction]:
+    """[lambda_i for i in levels] of the minimum-weight support design, with
+    lambda_i = b * C(k, i) / C(v, i) and one block count b for all of them.
+
+    Every level is checked to lie in [0, k] before any arithmetic; the
+    first one outside raises ValueError.
+    """
+    levels = list(levels)
+    for i in levels:
+        if not 0 <= i <= f.k:
+            raise ValueError(f"level {i} outside [0, {f.k}]")
+    b = block_count(f)
+    return [Fraction(b * binom(f.k, i), binom(f.n, i)) for i in levels]
+
+
 def lambda_at(f: CodeFamily, i: int) -> Fraction:
     """lambda_i = b * C(k, i) / C(v, i) of the minimum-weight support design."""
-    if not 0 <= i <= f.k:
-        raise ValueError(f"level {i} outside [0, {f.k}]")
-    return Fraction(block_count(f) * binom(f.k, i), binom(f.n, i))
+    return lambda_levels(f, (i,))[0]
 
 
 def lambda_base(f: CodeFamily) -> Fraction:
@@ -196,13 +206,27 @@ def nonintegral_levels(values) -> list[tuple[int, Fraction]]:
 def check_lambda_levels(f: CodeFamily, levels) -> list[tuple[int, Fraction]]:
     """Return the (level, value) pairs among ``levels`` whose lambda is not a
     nonnegative integer (empty list means all pass)."""
-    return nonintegral_levels((i, lambda_at(f, i)) for i in levels)
+    levels = list(levels)
+    return nonintegral_levels(zip(levels, lambda_levels(f, levels)))
 
 
 def scan_levels(f: CodeFamily, t: int) -> range:
     """The lambda levels a strength-t scan must check: everything above the
     base strength up to the effective (strengthened) strength."""
     return range(f.am_strength + 1, apply_strengthening(f, t) + 1)
+
+
+def scan_range(r: int, m_lo: int | None = None, m_hi: int | None = None) -> range:
+    """The m range [m_lo, m_hi] of a scan over family r, defaulting to the
+    family's full range [1, m_max]; ValueError if it is empty or outside."""
+    m_max = M_MAXES[r]
+    if m_lo is None:
+        m_lo = 1
+    if m_hi is None:
+        m_hi = m_max
+    if not 1 <= m_lo <= m_hi <= m_max:
+        raise ValueError(f"need 1 <= m_lo <= m_hi <= {m_max}, got [{m_lo}, {m_hi}]")
+    return range(m_lo, m_hi + 1)
 
 
 def admissible_scan(r: int, t: int, m_lo: int | None = None, m_hi: int | None = None,
@@ -214,12 +238,5 @@ def admissible_scan(r: int, t: int, m_lo: int | None = None, m_hi: int | None = 
     for compatibility and ignored: the scan runs serially, which beats a
     process pool now that block counts are closed forms.
     """
-    m_max = M_MAXES[r]
-    if m_lo is None:
-        m_lo = 1
-    if m_hi is None:
-        m_hi = m_max
-    if not 1 <= m_lo <= m_hi <= m_max:
-        raise ValueError(f"need 1 <= m_lo <= m_hi <= {m_max}, got [{m_lo}, {m_hi}]")
-    members = (CodeFamily(m, r) for m in range(m_lo, m_hi + 1))
+    members = (CodeFamily(m, r) for m in scan_range(r, m_lo, m_hi))
     return [f.m for f in members if not check_lambda_levels(f, scan_levels(f, t))]

@@ -40,7 +40,7 @@ from .families import (
     CodeFamily,
     DesignParams,
     NonIntegralLambdaError,
-    lambda_at,
+    lambda_levels,
     lambda_vector,
     nonintegral_levels,
 )
@@ -94,13 +94,14 @@ class MomentVector:
         return len(self.entries)
 
 
-def moment_vector(u: int, lambdas: list[Fraction]) -> MomentVector:
-    """Moments A_s = (u)_s * lambda_s for 0 <= s < len(lambdas).
+def moment_vector(u: int, lambdas: list[int | Fraction]) -> MomentVector:
+    """Moments A_s = (u)_s * lambda_s for 0 <= s < len(lambdas), from
+    integer or Fraction lambdas.
 
     Raises NonIntegralMomentError naming every offending s if any product is
     not a nonnegative integer (the design hypothesis is then already broken).
     """
-    vals = [falling(u, s) * Fraction(lam) for s, lam in enumerate(lambdas)]
+    vals = [falling(u, s) * lam for s, lam in enumerate(lambdas)]
     bad = [(s, v) for s, v in enumerate(vals) if v.denominator != 1 or v < 0]
     if bad:
         raise NonIntegralMomentError(bad)
@@ -213,11 +214,11 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) ->
         cached = store.get(f.r, f.m, t, u)
         if cached is not None:
             return cached
-    lambdas = [lambda_at(f, i) for i in range(t + 1)]
+    lambdas = lambda_levels(f, range(t + 1))
     bad = nonintegral_levels(enumerate(lambdas))
     if bad:
         raise NonIntegralLambdaError(f, bad)
-    moments = moment_vector(u, lambdas)
+    moments = moment_vector(u, [lam.numerator for lam in lambdas])
     F = offset_product_sum(OffsetSet.default(t), moments)
     result = GateResult.build(f.r, f.m, t, u, F, annihilator_divisor(t))
     if store is not None:

@@ -21,87 +21,47 @@ coefficient lists over the variable z = y^4/x^4:
 Each basis element j has leading z-term z^j, so forcing A_0, A_4, ...,
 A_{4 floor(n/24)} makes the linear system for the combination unit
 triangular: the combination is found by one pass of forward elimination.
-Full enumerators (and the test oracle :func:`min_weight_count`) come from
-that series.  The drivers need only the minimum-weight count, which has a
-closed form (:func:`designgate.families.block_count`), and the sign of the
-next coefficient, which :func:`next_weight_count` gets by Lagrange-Buermann
-inversion in O(floor(n/24)) integer operations.
+g1 and g2 are invariant under x <-> y, so every combination is palindromic
+(A_w = A_{n-w}): a full enumerator is solved only to z^(n/8), which is
+weight n/2, then mirrored, and verified by sum_w A_w = 2^(n/2), its value
+at x = y = 1, where g1 = 16 and g2 = 0.  The drivers need only the
+minimum-weight count, which has a closed form
+(:func:`designgate.families.block_count`), and the sign of the next
+coefficient, which :func:`next_weight_count` gets by Lagrange-Buermann
+inversion in O(floor(n/24)) integer operations.  The series prefix is the
+test oracle for both.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 # Largest family length the scans ever request: 24*163 + 16.
 LENGTH_CAP = 24 * 163 + 16
 
-_PHI = (1, 14, 1)
-_PSI = (0, 1, -4, 6, -4, 1)
-
-# Truncation used by the shared power table: it covers the full n/4 + 1
-# coefficients that extremal_weight_enumerator (wenum, deep_u) needs for
-# n <= 688, and the short prefixes the tests read through min_weight_count
-# and _extremal_prefix.
-_TABLE_TRUNC = 172
-
-
-def _mul(a: list[int], b, trunc: int) -> list[int]:
-    out = [0] * (trunc + 1)
-    for i, ai in enumerate(a):
-        if i > trunc:
-            break
-        if ai:
-            for j, bj in enumerate(b):
-                if i + j > trunc:
-                    break
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _div(a: list[int], b, trunc: int) -> list[int]:
-    """Truncated power-series division a/b; requires b[0] == 1 (exact)."""
-    if b[0] != 1:
-        raise ValueError(f"series division needs constant term 1, got {b[0]}")
-    out = [0] * (trunc + 1)
-    rem = list(a) + [0] * (trunc + 1 - len(a))
-    for i in range(trunc + 1):
-        c = rem[i]
-        out[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                if j and bj and i + j <= trunc:
-                    rem[i + j] -= c * bj
-    return out
-
-
-_PHI3 = _mul(_mul(list(_PHI), _PHI, 6), _PHI, 6)
-
-_phi_table: list[list[int]] = [[1]]
-_phi_lock = threading.Lock()
-
 
 def _phi_power(a: int, trunc: int) -> list[int]:
-    """PHI^a truncated to z^trunc.  Small truncations come from a shared
-    table grown incrementally; larger requests use binary powering."""
-    if trunc <= _TABLE_TRUNC:
-        with _phi_lock:
-            while len(_phi_table) <= a:
-                _phi_table.append(_mul(_phi_table[-1], _PHI, _TABLE_TRUNC))
-            row = _phi_table[a]
-        return row[: trunc + 1] + [0] * max(0, trunc + 1 - len(row))
-    result = [1]
-    base = list(_PHI)
-    e = a
-    while e:
-        if e & 1:
-            result = _mul(result, base, trunc)
-        e >>= 1
-        if e:
-            base = _mul(base, base, trunc)
-    return result + [0] * (trunc + 1 - len(result))
+    """PHI^a truncated to z^trunc."""
+    return _phi_power_prefix(a, trunc + 1)
+
+
+def _basis_tail(a: int, j: int, terms: int) -> list[int]:
+    """The first ``terms`` coefficients of Q = PHI^(a-3j) * (1 - z)^(4j), so
+    that z^j * Q is basis element j of length 8a over x^(8a).  From the
+    recurrence (1 - z) PHI Q' = (-4j PHI + (a - 3j)(1 - z) PHI') Q, where
+    (1 - z) PHI = 1 + 13z - 13z^2 - z^3; every division is checked."""
+    e = a - 3 * j
+    r0, r1, r2 = 14 * e - 4 * j, -12 * e - 56 * j, -2 * e - 4 * j
+    q = [1] + [0] * (terms - 1)
+    for k in range(1, terms):
+        acc = (r0 - 13 * (k - 1)) * q[k - 1]
+        if k > 1:
+            acc += (r1 + 13 * (k - 2)) * q[k - 2]
+        if k > 2:
+            acc += (r2 + k - 3) * q[k - 3]
+        q[k] = _exact_div(acc, k)
+    return q
 
 
 def _validate_length(n: int) -> None:
@@ -111,34 +71,21 @@ def _validate_length(n: int) -> None:
         raise ValueError(f"length {n} exceeds the supported cap {LENGTH_CAP}")
 
 
-_prefix_cache: dict[int, list[int]] = {}
-_prefix_lock = threading.Lock()
-
-
 def _extremal_prefix(n: int, trunc: int) -> list[int]:
     """Coefficients [A_0, A_4, A_8, ...] of the extremal enumerator of
     length n, up to weight 4*trunc.  The unit-triangular elimination: start
     from basis element 0 (coefficient forced to 1 by A_0 = 1) and cancel
     each A_{4j} in turn with basis element j."""
     _validate_length(n)
-    with _prefix_lock:
-        got = _prefix_cache.get(n)
-    if got is not None and len(got) >= trunc + 1:
-        return got[: trunc + 1]
+    a = n // 8
     nz = n // 24  # number of forced-zero low coefficients; min weight 4*nz + 4
-    w = _phi_power(n // 8, trunc)
-    basis = list(w)
+    w = _phi_power(a, trunc)
     for j in range(1, min(nz, trunc) + 1):
-        basis = _div(_mul(basis, _PSI, trunc), _PHI3, trunc)
         c = -w[j]
         if c:
+            tail = _basis_tail(a, j, trunc - j + 1)
             for i in range(j, trunc + 1):
-                w[i] += c * basis[i]
-    if trunc <= _TABLE_TRUNC:
-        with _prefix_lock:
-            kept = _prefix_cache.get(n)
-            if kept is None or len(kept) < len(w):
-                _prefix_cache[n] = w
+                w[i] += c * tail[i - j]
     return w
 
 
@@ -222,11 +169,15 @@ class WeightEnumerator:
 
 def extremal_weight_enumerator(n: int) -> WeightEnumerator:
     """The extremal enumerator of length n: the unique basis combination with
-    A_0 = 1 and A_4 = ... = A_{4 floor(n/24)} = 0, solved exactly."""
-    prefix = _extremal_prefix(n, n // 4)
+    A_0 = 1 and A_4 = ... = A_{4 floor(n/24)} = 0, solved exactly up to
+    weight n/2 and mirrored by A_w = A_{n-w}.  Raises ArithmeticError unless
+    the coefficients sum to 2^(n/2)."""
+    prefix = _extremal_prefix(n, n // 8)
     coeffs = [0] * (n + 1)
     for i, a in enumerate(prefix):
-        coeffs[4 * i] = a
+        coeffs[4 * i] = coeffs[n - 4 * i] = a
+    if sum(coeffs) != 2 ** (n // 2):
+        raise ArithmeticError(f"extremal enumerator of length {n} does not sum to 2^{n // 2}")
     return WeightEnumerator(n, tuple(coeffs))
 
 

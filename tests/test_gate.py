@@ -10,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from designgate.combinat import binom, falling
-from designgate.families import CodeFamily, NonIntegralLambdaError, design_params
+from designgate.families import (
+    CodeFamily,
+    NonIntegralLambdaError,
+    design_params,
+    lambda_at,
+    lambda_levels,
+    lambda_vector,
+)
 from designgate.gate import (
     FAIL_NONINTEGER,
     MomentVector,
@@ -24,6 +31,7 @@ from designgate.gate import (
     residual_coefficient,
     solve_intersection_numbers,
 )
+from designgate.gleason import extremal_weight_enumerator
 
 GOLAY_LAMBDAS = [Fraction(x) for x in (759, 253, 77, 21, 5, 1)]
 
@@ -147,6 +155,33 @@ def test_gate_m63_strength8_is_honestly_integral():
     assert at_k.integral and at_k.quotient > 0
     at_k4 = integrality_gate(f, 8, 4 * 63 + 8)
     assert at_k4.verdict == FAIL_NONINTEGER
+
+
+def test_gate_matches_design_params_route_at_every_weight():
+    # integrality_gate takes its lambdas from one block count; the second
+    # route takes them from extend_lambda and lambda_vector instead.
+    f, t = CodeFamily(10, 2), 4
+    enum = extremal_weight_enumerator(f.n)
+    weights = [u for u in range(f.k, f.n - f.k + 1, 4) if enum.coefficient(u) > 0]
+    assert len(weights) == 43
+    lambdas = lambda_vector(design_params(f, t))
+    for u in weights:
+        expected = offset_product_sum(OffsetSet.default(t), moment_vector(u, lambdas))
+        assert integrality_gate(f, t, u).F == expected, u
+
+
+def test_gate_computes_one_block_count(block_count_calls):
+    integrality_gate(CodeFamily(8, 0), 7)
+    assert block_count_calls == [CodeFamily(8, 0)]
+
+
+def test_lambda_levels_match_lambda_at():
+    for m, r in [(1, 0), (8, 0), (63, 0), (0, 1), (58, 1), (158, 1), (0, 2), (23, 2), (163, 2)]:
+        f = CodeFamily(m, r)
+        levels = range(min(f.k, f.am_strength + 4) + 1)
+        assert lambda_levels(f, levels) == [lambda_at(f, i) for i in levels], f
+    with pytest.raises(ValueError, match="level 9 outside"):
+        lambda_levels(CodeFamily(0, 1), [0, 9, 10])
 
 
 def test_gate_pre_fail_on_nonintegral_lambda():

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from designgate import gleason
 from designgate.combinat import binom
 from designgate.families import M_MAXES
 from designgate.gleason import (
@@ -57,6 +63,51 @@ def test_enumerator_invariants(n):
     assert sum(a) == 2 ** (n // 2)
     assert enum.min_nonzero_weight() == 4 * (n // 24) + 4
     assert not enum.negative_weights()
+
+
+@pytest.mark.parametrize("n", [8, 24, 48, 136, 568, 696, 1000, 1512])
+def test_mirrored_enumerator_matches_full_series(n):
+    # The enumerator is solved to weight n/2 and mirrored; the series
+    # solved all the way to weight n, unmirrored, must agree everywhere.
+    full = [0] * (n + 1)
+    for i, a in enumerate(_extremal_prefix(n, n // 4)):
+        full[4 * i] = a
+    assert list(extremal_weight_enumerator(n).coefficients) == full
+
+
+def test_enumerator_sum_check_rejects_bad_series(monkeypatch):
+    def perturbed(n, trunc):
+        prefix = _extremal_prefix(n, trunc)
+        prefix[-1] += 1  # A_{n/2}, which the mirror does not duplicate
+        return prefix
+
+    monkeypatch.setattr(gleason, "_extremal_prefix", perturbed)
+    with pytest.raises(ArithmeticError, match="does not sum to 2"):
+        extremal_weight_enumerator(48)
+
+
+def test_enumerator_sum_check_survives_python_O():
+    code = (
+        "from designgate import gleason\n"
+        "assert False, 'assertions are on'\n"
+        "good = gleason._extremal_prefix\n"
+        "def bad(n, trunc):\n"
+        "    prefix = good(n, trunc)\n"
+        "    prefix[-1] += 1\n"
+        "    return prefix\n"
+        "gleason._extremal_prefix = bad\n"
+        "try:\n"
+        "    gleason.extremal_weight_enumerator(48)\n"
+        "except ArithmeticError:\n"
+        "    print('rejected')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected"]
 
 
 @pytest.mark.parametrize("n", [24, 48, 72, 104, 136])
