@@ -2,6 +2,9 @@
 
 Subcommands: lambda, scan, gate, theorem, wenum.  Exit codes: 0 success,
 2 bad input, 3 I/O failure, 4 reference-set mismatch.
+
+Each handler imports the modules only it needs when it runs, so that a
+cold start loads no more than its subcommand uses.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import sys
 from .families import (
     CodeFamily,
     FAMILY_LABELS,
+    THEOREM_IDS,
     NonIntegralLambdaError,
     apply_strengthening,
     lambda_levels,
@@ -19,11 +23,7 @@ from .families import (
     scan_levels,
     scan_range,
 )
-from .gate import integrality_gate
-from .gleason import LENGTH_CAP, extremal_weight_enumerator
 from .report import FORMATS, Report, exact_str, gate_row, lambda_row, render, set_row, timestamp_now
-from .store import ResultStore
-from .theorems import THEOREM_IDS, run_theorem
 
 _FAMILY_INDEX = {label: r for r, label in enumerate(FAMILY_LABELS)}
 _JOBS_HELP = "accepted for compatibility and ignored: the work runs serially"
@@ -129,6 +129,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_gate(args) -> int:
+    from .gate import integrality_gate
+    from .store import ResultStore
+
     f = CodeFamily(args.m, _FAMILY_INDEX[args.family])
     u = f.k if args.u is None else args.u
     store = ResultStore.from_env()
@@ -152,6 +155,9 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
+    from .store import ResultStore
+    from .theorems import run_theorem
+
     _check_jobs(args)
     store = ResultStore.from_env()
     outcome = run_theorem(args.id, store=store,
@@ -165,6 +171,8 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_wenum(args) -> int:
+    from .gleason import LENGTH_CAP, extremal_weight_enumerator
+
     if args.n % 8 or not 8 <= args.n <= LENGTH_CAP:
         raise ValueError(f"n must be a multiple of 8 in [8, {LENGTH_CAP}], got {args.n}")
     enum = extremal_weight_enumerator(args.n)

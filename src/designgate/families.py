@@ -25,6 +25,9 @@ from .combinat import binom
 AM_STRENGTHS = (5, 3, 1)
 M_MAXES = (153, 158, 163)
 FAMILY_LABELS = ("24m", "24m+8", "24m+16")
+# The drivers of :mod:`designgate.theorems`; spelled here so that the CLI can
+# offer them as choices without importing the drivers.
+THEOREM_IDS = ("lemma1", "thm1", "thm2", "thm3", "thm4", "thm5.1", "thm5.2")
 
 # Offset lengths above this are refused by the gates; nothing of interest
 # lives beyond strength 12 and symmetric-polynomial growth is steep.

@@ -5,16 +5,14 @@ with a ``row`` discriminator ("set", "gate" or "lambda"); every number is
 rendered as an exact decimal or "p/q" string, never rounded.  Renderings are
 byte-deterministic for identical inputs: fixed field order, ascending keys,
 no locale formatting.  The timestamp is excluded from that contract and can
-be dropped entirely (``generated_at=None``).
+be dropped entirely (``generated_at=None``).  The json, csv and datetime
+modules are imported by the function that uses them, so that a command that
+renders a table does not load them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from fractions import Fraction
 
 FORMATS = ("table", "csv", "json")
@@ -35,6 +33,8 @@ def exact_str(x) -> str:
 
 
 def timestamp_now() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -98,6 +98,8 @@ def render(report: Report, fmt: str) -> str:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if fmt == "json":
+        import json
+
         return json.dumps(report.to_dict(), indent=2) + "\n"
     if fmt == "csv":
         return _render_csv(report)
@@ -105,6 +107,9 @@ def render(report: Report, fmt: str) -> str:
 
 
 def _render_csv(report: Report) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, extrasaction="ignore",
                             lineterminator="\n")

@@ -29,14 +29,13 @@ from . import reference_sets as ref
 from .families import (
     CodeFamily,
     M_MAXES,
+    THEOREM_IDS,
     admissible_scan,
     check_lambda_levels,
 )
 from .gate import GateResult, integrality_gate
 from .gleason import next_weight_count
 from .report import Report, gate_row, set_row, timestamp_now
-
-THEOREM_IDS = ("lemma1", "thm1", "thm2", "thm3", "thm4", "thm5.1", "thm5.2")
 
 
 @dataclass(frozen=True)

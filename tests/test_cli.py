@@ -178,3 +178,17 @@ def test_wenum(capsys):
 
 def test_wenum_bad_n_exits_2(capsys):
     assert main(["wenum", "--n", "20"]) == 2
+
+
+def test_theorem_ids_offered_and_checked_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{lemma1,thm1,thm2,thm3,thm4,thm5.1,thm5.2}" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem", "thm9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument id: invalid choice: 'thm9'" in captured.err

@@ -9,15 +9,13 @@ from designgate import gleason
 from designgate.combinat import binom
 from designgate.families import M_MAXES
 from designgate.gleason import (
-    GLEASON_G2,
     LENGTH_CAP,
     _extremal_prefix,
     extremal_weight_enumerator,
-    gleason_basis,
     min_weight_count,
     next_weight_count,
-    solve_basis_combination,
 )
+from gleason_oracle import GLEASON_G2, gleason_basis, solve_basis_combination
 
 KNOWN_MIN_COUNTS = {8: 14, 16: 28, 24: 759, 32: 620, 40: 285, 48: 17296}
 

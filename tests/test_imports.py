@@ -1,0 +1,82 @@
+"""Import hygiene: the package namespace resolves lazily, and a cold start
+loads only the modules its subcommand runs.  Module sets are read in fresh
+interpreters, so the result does not depend on what the suite imported."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import designgate
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+SUBMODULES = ("cli", "combinat", "families", "gate", "gleason", "report", "store", "theorems")
+
+
+def loaded_after(code: str, tmp_path) -> set[str]:
+    """Names in sys.modules after running ``code`` in a fresh interpreter."""
+    code += "\nimport sys\nsys.stderr.write('\\n'.join(sys.modules))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+        DESIGNGATE_STORE=str(tmp_path / "store"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_cli_import_loads_no_driver_gate_or_store(tmp_path):
+    loaded = loaded_after("import designgate.cli", tmp_path)
+    assert {"designgate.cli", "designgate.families", "designgate.report"} <= loaded
+    unwanted = {"designgate.theorems", "designgate.gate", "designgate.gleason",
+                "designgate.store", "designgate.reference_sets", "csv", "datetime"}
+    assert not loaded & unwanted
+
+
+def test_lambda_call_loads_no_gate_enumerator_or_driver(tmp_path):
+    loaded = loaded_after("from designgate.cli import main\n"
+                          "assert main(['lambda', '--family', '24m', '--m', '8', '--t', '7']) == 0",
+                          tmp_path)
+    assert not loaded & {"designgate.gate", "designgate.gleason", "designgate.theorems"}
+
+
+def test_families_import_loads_no_cli_or_report(tmp_path):
+    loaded = loaded_after("import designgate.families", tmp_path)
+    assert not loaded & {"designgate.cli", "designgate.report", "designgate.theorems"}
+
+
+def test_public_names_are_the_submodule_objects():
+    modules = [importlib.import_module(f"designgate.{s}") for s in SUBMODULES]
+    for name in designgate.__all__:
+        value = getattr(designgate, name)
+        holders = [mod for mod in modules if hasattr(mod, name)]
+        assert holders and all(getattr(mod, name) is value for mod in holders), name
+        owner = getattr(value, "__module__", None)
+        if owner is not None and owner.startswith("designgate."):
+            assert getattr(sys.modules[owner], name) is value, name
+
+
+def test_public_names_and_version():
+    assert set(designgate.__all__) == {
+        "binom", "elem_sym", "falling", "stirling2", "stirling2_by_formula",
+        "CodeFamily", "DesignParams", "NonIntegralLambdaError", "admissible_scan",
+        "apply_strengthening", "block_count", "design_params", "extend_lambda",
+        "lambda_at", "lambda_base", "lambda_vector",
+        "FAIL_NONINTEGER", "PASS", "GateResult", "IntersectionSolution", "MomentVector",
+        "NonIntegralMomentError", "OffsetSet", "annihilator_divisor", "integrality_gate",
+        "moment_vector", "offset_moment_coefficients", "offset_product_sum",
+        "residual_coefficient", "solve_intersection_numbers",
+        "LENGTH_CAP", "WeightEnumerator", "extremal_weight_enumerator",
+        "min_weight_count", "next_weight_count",
+        "THEOREM_IDS", "TheoremOutcome", "run_theorem",
+    }
+    assert designgate.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "HomogeneousPoly", "gleason_basis"])
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(designgate, name)
