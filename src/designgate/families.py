@@ -16,10 +16,10 @@ integer for every i <= t, which is what :func:`admissible_scan` checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from ._record import Record
 from .combinat import binom
 
 AM_STRENGTHS = (5, 3, 1)
@@ -44,16 +44,15 @@ class NonIntegralLambdaError(ValueError):
         super().__init__(f"non-integral block counts for {family}: {detail}")
 
 
-@dataclass(frozen=True)
-class CodeFamily:
+class CodeFamily(Record):
     """One member of the three extremal-code families: family index r and
     parameter m.  m = 0 is accepted for r >= 1 (length 8 and 16 base cases);
     scans run over 1 <= m <= m_max."""
 
-    m: int
-    r: int
+    __slots__ = ("m", "r")
 
-    def __post_init__(self):
+    def __init__(self, m: int, r: int):
+        super().__init__(m, r)
         if self.r not in (0, 1, 2):
             raise ValueError(f"family index must be 0, 1 or 2, got {self.r}")
         if not 0 <= self.m <= self.m_max:
@@ -85,17 +84,14 @@ class CodeFamily:
         return f"[{self.n}, {self.n // 2}, {self.k}] (family {self.label}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class DesignParams(Record):
     """Parameters of a hypothesized t-(v, k, lambda_t) design."""
 
-    v: int
-    k: int
-    t: int
-    lambda_t: Fraction
-    self_orthogonal: bool = False
+    __slots__ = ("v", "k", "t", "lambda_t", "self_orthogonal")
 
-    def __post_init__(self):
+    def __init__(self, v: int, k: int, t: int, lambda_t: Fraction,
+                 self_orthogonal: bool = False):
+        super().__init__(v, k, t, lambda_t, self_orthogonal)
         if not 0 <= self.t <= self.k <= self.v:
             raise ValueError(f"need 0 <= t <= k <= v, got t={self.t} k={self.k} v={self.v}")
         if self.lambda_t < 0:
@@ -130,27 +126,35 @@ def block_count(f: CodeFamily) -> int:
     return b
 
 
-def lambda_levels(f: CodeFamily, levels) -> list[Fraction]:
+def lambda_levels(f: CodeFamily, levels) -> list[int | Fraction]:
     """[lambda_i for i in levels] of the minimum-weight support design, with
-    lambda_i = b * C(k, i) / C(v, i) and one block count b for all of them.
+    lambda_i = b * C(k, i) / C(v, i) and one block count b for all of them:
+    an int where the division is exact, else a Fraction (the normalising
+    gcd is paid only there).
 
     Every level is checked to lie in [0, k] before any arithmetic; the
     first one outside raises ValueError.
     """
     levels = list(levels)
+    k, n = f.k, f.n
     for i in levels:
-        if not 0 <= i <= f.k:
-            raise ValueError(f"level {i} outside [0, {f.k}]")
+        if not 0 <= i <= k:
+            raise ValueError(f"level {i} outside [0, {k}]")
     b = block_count(f)
-    return [Fraction(b * binom(f.k, i), binom(f.n, i)) for i in levels]
+    out = []
+    for i in levels:
+        num, den = b * binom(k, i), binom(n, i)
+        q, rem = divmod(num, den)
+        out.append(Fraction(num, den) if rem else q)
+    return out
 
 
-def lambda_at(f: CodeFamily, i: int) -> Fraction:
+def lambda_at(f: CodeFamily, i: int) -> int | Fraction:
     """lambda_i = b * C(k, i) / C(v, i) of the minimum-weight support design."""
     return lambda_levels(f, (i,))[0]
 
 
-def lambda_base(f: CodeFamily) -> Fraction:
+def lambda_base(f: CodeFamily) -> int | Fraction:
     """lambda at the family's Assmus-Mattson strength: C(5m-2, m-1) for
     r = 0, b * C(k, s) / C(v, s) for r = 1, 2."""
     if f.r == 0:

@@ -30,10 +30,10 @@ exists.  That quotient test is :func:`integrality_gate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record
 from .combinat import binom, elem_sym, falling, stirling2
 from .families import (
     T_CAP,
@@ -58,13 +58,13 @@ class NonIntegralMomentError(ValueError):
         super().__init__(f"non-integral moments: {detail}")
 
 
-@dataclass(frozen=True)
-class OffsetSet:
+class OffsetSet(Record):
     """Strictly increasing distinct nonnegative even offsets x_1 < ... < x_l."""
 
-    xs: tuple[int, ...]
+    __slots__ = ("xs",)
 
-    def __post_init__(self):
+    def __init__(self, xs: tuple[int, ...]):
+        super().__init__(xs)
         for x in self.xs:
             if x < 0 or x % 2:
                 raise ValueError(f"offsets must be nonnegative even integers, got {x}")
@@ -82,13 +82,14 @@ class OffsetSet:
         return OffsetSet(tuple(2 * j for j in range(l)))
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(Record):
     """Exact moments A_0..A_l of an intersection distribution against a
     reference set of size u."""
 
-    u: int
-    entries: tuple[int, ...]
+    __slots__ = ("u", "entries")
+
+    def __init__(self, u: int, entries: tuple[int, ...]):
+        super().__init__(u, entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -101,7 +102,11 @@ def moment_vector(u: int, lambdas: list[int | Fraction]) -> MomentVector:
     Raises NonIntegralMomentError naming every offending s if any product is
     not a nonnegative integer (the design hypothesis is then already broken).
     """
-    vals = [falling(u, s) * lam for s, lam in enumerate(lambdas)]
+    vals = []
+    u_s = 1  # (u)_s
+    for s, lam in enumerate(lambdas):
+        vals.append(u_s * lam)
+        u_s *= u - s
     bad = [(s, v) for s, v in enumerate(vals) if v.denominator != 1 or v < 0]
     if bad:
         raise NonIntegralMomentError(bad)
@@ -138,7 +143,7 @@ def annihilator_divisor(l: int) -> int:
     if l < 1:
         raise ValueError("need l >= 1")
     divisor = 1
-    for x in OffsetSet.default(l).xs:
+    for x in range(0, 2 * l, 2):
         divisor *= 2 * l - x
     if divisor != 2**l * math.factorial(l):
         raise ArithmeticError(f"annihilator divisor {divisor} != 2^{l} * {l}!")
@@ -152,7 +157,7 @@ def residual_coefficient(i: int, l: int) -> int:
     if i % 2 or i < 2 * l:
         raise ValueError(f"need even i >= {2 * l}, got {i}")
     prod = 1
-    for x in OffsetSet.default(l).xs:
+    for x in range(0, 2 * l, 2):
         prod *= i - x
     q, r = divmod(prod, annihilator_divisor(l))
     if r:
@@ -162,20 +167,14 @@ def residual_coefficient(i: int, l: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class GateResult:
+class GateResult(Record):
     """Outcome of one integrality test."""
 
-    family: int
-    m: int
-    t: int
-    u: int
-    F: int
-    quotient: Fraction
-    integral: bool
-    verdict: str
+    __slots__ = ("family", "m", "t", "u", "F", "quotient", "integral", "verdict")
 
-    def __post_init__(self):
+    def __init__(self, family: int, m: int, t: int, u: int, F: int, quotient: Fraction,
+                 integral: bool, verdict: str):
+        super().__init__(family, m, t, u, F, quotient, integral, verdict)
         if self.integral != (self.quotient.denominator == 1):
             raise ValueError(f"integral={self.integral} contradicts quotient {self.quotient}")
         if self.verdict != (PASS if self.integral else FAIL_NONINTEGER):
@@ -218,7 +217,7 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) ->
     bad = nonintegral_levels(enumerate(lambdas))
     if bad:
         raise NonIntegralLambdaError(f, bad)
-    moments = moment_vector(u, [lam.numerator for lam in lambdas])
+    moments = moment_vector(u, lambdas)
     F = offset_product_sum(OffsetSet.default(t), moments)
     result = GateResult.build(f.r, f.m, t, u, F, annihilator_divisor(t))
     if store is not None:
@@ -226,14 +225,15 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) ->
     return result
 
 
-@dataclass(frozen=True)
-class IntersectionSolution:
+class IntersectionSolution(Record):
     """Exact solution of a square moment system: values by level, plus the
     levels whose counts came out negative or non-integral."""
 
-    entries: tuple[tuple[int, Fraction], ...]
-    negative_levels: tuple[int, ...]
-    nonintegral_levels: tuple[int, ...]
+    __slots__ = ("entries", "negative_levels", "nonintegral_levels")
+
+    def __init__(self, entries: tuple[tuple[int, Fraction], ...],
+                 negative_levels: tuple[int, ...], nonintegral_levels: tuple[int, ...]):
+        super().__init__(entries, negative_levels, nonintegral_levels)
 
     def value(self, level: int) -> Fraction:
         for lv, v in self.entries:

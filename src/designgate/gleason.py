@@ -34,7 +34,7 @@ test oracle for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 # Largest family length the scans ever request: 24*163 + 16.
 LENGTH_CAP = 24 * 163 + 16
@@ -88,14 +88,13 @@ def _extremal_prefix(n: int, trunc: int) -> list[int]:
     return w
 
 
-@dataclass(frozen=True)
-class WeightEnumerator:
+class WeightEnumerator(Record):
     """Exact coefficient list A_0..A_n of a length-n weight enumerator."""
 
-    n: int
-    coefficients: tuple[int, ...]
+    __slots__ = ("n", "coefficients")
 
-    def __post_init__(self):
+    def __init__(self, n: int, coefficients: tuple[int, ...]):
+        super().__init__(n, coefficients)
         if len(self.coefficients) != self.n + 1:
             raise ValueError("coefficient list must have n + 1 entries")
 

@@ -12,7 +12,6 @@ renders a table does not load them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 FORMATS = ("table", "csv", "json")
@@ -74,15 +73,16 @@ def lambda_row(m: int, level: int, value: Fraction, stage: int | None = None) ->
     return row
 
 
-@dataclass
 class Report:
     """One report: identifier, parameter echo, rows, surviving set."""
 
-    id: str
-    inputs: dict
-    rows: list[dict] = field(default_factory=list)
-    surviving_set: list[int] = field(default_factory=list)
-    generated_at: str | None = None
+    def __init__(self, id: str, inputs: dict, rows: list[dict] | None = None,
+                 surviving_set: list[int] | None = None, generated_at: str | None = None):
+        self.id = id
+        self.inputs = inputs
+        self.rows = [] if rows is None else rows
+        self.surviving_set = [] if surviving_set is None else surviving_set
+        self.generated_at = generated_at
 
     def to_dict(self) -> dict:
         out = {"id": self.id}

@@ -23,9 +23,8 @@ particular a 6-design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import reference_sets as ref
+from ._record import Record
 from .families import (
     CodeFamily,
     M_MAXES,
@@ -38,14 +37,14 @@ from .gleason import next_weight_count
 from .report import Report, gate_row, set_row, timestamp_now
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     """One rung of a staged ladder: the effective strength, the lambda
     levels newly required, and the offset lengths gated at this strength."""
 
-    t: int
-    lambda_levels: tuple[int, ...]
-    gate_ls: tuple[int, ...]
+    __slots__ = ("t", "lambda_levels", "gate_ls")
+
+    def __init__(self, t: int, lambda_levels: tuple[int, ...], gate_ls: tuple[int, ...]):
+        super().__init__(t, lambda_levels, gate_ls)
 
 
 STAGES_24M8 = (
@@ -63,10 +62,12 @@ STAGES_24M16 = (
 )
 
 
-@dataclass
 class TheoremOutcome:
-    report: Report
-    mismatches: list[str] = field(default_factory=list)
+    """A driver's report and its reference mismatches (none on a match)."""
+
+    def __init__(self, report: Report, mismatches: list[str] | None = None):
+        self.report = report
+        self.mismatches = [] if mismatches is None else mismatches
 
 
 def _diff(label: str, computed, expected) -> list[str]:

@@ -17,6 +17,7 @@ from designgate.families import (
     extend_lambda,
     lambda_at,
     lambda_base,
+    lambda_levels,
     lambda_vector,
 )
 from designgate.gleason import min_weight_count
@@ -69,6 +70,17 @@ def test_extend_lambda_values():
     # any m: level-5 value is the closed form
     for m in (3, 17, 90):
         assert extend_lambda(CodeFamily(m, 0), 5) == binom(5 * m - 2, m - 1)
+
+
+def test_lambda_levels_exact_and_int_exactly_when_integral():
+    for m, r in [(1, 0), (8, 0), (153, 0), (0, 1), (7, 1), (158, 1), (0, 2), (23, 2),
+                 (163, 2)]:
+        f = CodeFamily(m, r)
+        b = block_count(f)
+        for i, value in zip(range(f.k + 1), lambda_levels(f, range(f.k + 1))):
+            exact = Fraction(b * binom(f.k, i), binom(f.n, i))
+            assert value == exact, (f, i)
+            assert isinstance(value, int) == (exact.denominator == 1), (f, i)
 
 
 def test_extend_lambda_matches_lambda_at():

@@ -255,16 +255,20 @@ def test_tampered_gate_result_rejected_under_python_O():
     # GateResult's invariants are explicit raises, so they hold with
     # assertions compiled out.
     code = (
-        "import dataclasses\n"
         "from designgate.families import CodeFamily\n"
-        "from designgate.gate import integrality_gate\n"
+        "from designgate.gate import GateResult, integrality_gate\n"
         "assert False, 'assertions are on'\n"
         "res = integrality_gate(CodeFamily(8, 0), 7)\n"
         "print(res.verdict)\n"
         "try:\n"
-        "    dataclasses.replace(res, verdict='PASS')\n"
+        "    GateResult(res.family, res.m, res.t, res.u, res.F, res.quotient,\n"
+        "               res.integral, verdict='PASS')\n"
         "except ValueError:\n"
         "    print('rejected')\n"
+        "try:\n"
+        "    res.verdict = 'PASS'\n"
+        "except AttributeError:\n"
+        "    print('frozen')\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -272,4 +276,4 @@ def test_tampered_gate_result_rejected_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [FAIL_NONINTEGER, "rejected"]
+    assert proc.stdout.split() == [FAIL_NONINTEGER, "rejected", "frozen"]

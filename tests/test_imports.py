@@ -15,6 +15,15 @@ import designgate
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 SUBMODULES = ("cli", "combinat", "families", "gate", "gleason", "report", "store", "theorems")
 
+HEAVY = {"dataclasses", "inspect"}
+CALLS = {
+    "lambda": ["lambda", "--family", "24m", "--m", "8", "--t", "7"],
+    "scan": ["scan", "--family", "24m+8", "--t", "5", "--m-max", "20"],
+    "gate": ["gate", "--family", "24m", "--m", "8", "--t", "7"],
+    "wenum": ["wenum", "--n", "48"],
+    "theorem": ["theorem", "thm2", "--no-timestamp"],
+}
+
 
 def loaded_after(code: str, tmp_path) -> set[str]:
     """Names in sys.modules after running ``code`` in a fresh interpreter."""
@@ -32,7 +41,7 @@ def test_cli_import_loads_no_driver_gate_or_store(tmp_path):
     loaded = loaded_after("import designgate.cli", tmp_path)
     assert {"designgate.cli", "designgate.families", "designgate.report"} <= loaded
     unwanted = {"designgate.theorems", "designgate.gate", "designgate.gleason",
-                "designgate.store", "designgate.reference_sets", "csv", "datetime"}
+                "designgate.store", "designgate.reference_sets", "csv", "datetime"} | HEAVY
     assert not loaded & unwanted
 
 
@@ -46,6 +55,21 @@ def test_lambda_call_loads_no_gate_enumerator_or_driver(tmp_path):
 def test_families_import_loads_no_cli_or_report(tmp_path):
     loaded = loaded_after("import designgate.families", tmp_path)
     assert not loaded & {"designgate.cli", "designgate.report", "designgate.theorems"}
+
+
+@pytest.mark.parametrize("command", CALLS)
+def test_cli_calls_load_no_dataclasses_or_inspect(command, tmp_path):
+    loaded = loaded_after("from designgate.cli import main\n"
+                          f"assert main({CALLS[command]!r}) == 0", tmp_path)
+    assert not loaded & HEAVY
+
+
+def test_public_names_load_no_dataclasses_or_inspect(tmp_path):
+    loaded = loaded_after("import designgate\n"
+                          "for name in designgate.__all__:\n"
+                          "    getattr(designgate, name)", tmp_path)
+    assert {"designgate.gate", "designgate.gleason", "designgate.theorems"} <= loaded
+    assert not loaded & HEAVY
 
 
 def test_public_names_are_the_submodule_objects():
