@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 from designgate.report import render
-from designgate.store import ResultStore
 from designgate.theorems import THEOREM_IDS, run_theorem
 
 DOCUMENTED = ("thm5.2 stage t=4", "thm5.2 stage t=5")
@@ -28,12 +27,11 @@ def main() -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    store = ResultStore.from_env()
 
     unexpected = 0
     for tid in THEOREM_IDS:
         start = time.perf_counter()
-        outcome = run_theorem(tid, store=store, timestamp=not args.no_timestamp)
+        outcome = run_theorem(tid, timestamp=not args.no_timestamp)
         seconds = time.perf_counter() - start
         path = out_dir / f"{tid.replace('.', '_')}.json"
         path.write_text(render(outcome.report, "json"))

@@ -94,8 +94,6 @@ def _check_jobs(args) -> None:
 
 def _cmd_lambda(args) -> int:
     f = CodeFamily(args.m, _FAMILY_INDEX[args.family])
-    if not 1 <= args.m <= f.m_max:
-        raise ValueError(f"m = {args.m} outside [1, {f.m_max}]")
     t_eff = apply_strengthening(f, args.t)
     if t_eff > f.k:
         raise ValueError(f"strength {t_eff} outside [{f.am_strength}, {f.k}]")
@@ -155,13 +153,10 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
-    from .store import ResultStore
     from .theorems import run_theorem
 
     _check_jobs(args)
-    store = ResultStore.from_env()
-    outcome = run_theorem(args.id, store=store,
-                          timestamp=not args.no_timestamp, upto_t=args.t)
+    outcome = run_theorem(args.id, timestamp=not args.no_timestamp, upto_t=args.t)
     _emit(render(outcome.report, args.format), args.out)
     if outcome.mismatches:
         for line in outcome.mismatches:

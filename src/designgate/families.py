@@ -46,8 +46,8 @@ class NonIntegralLambdaError(ValueError):
 
 class CodeFamily(Record):
     """One member of the three extremal-code families: family index r and
-    parameter m.  m = 0 is accepted for r >= 1 (length 8 and 16 base cases);
-    scans run over 1 <= m <= m_max."""
+    parameter m in [1, m_max] for r = 0 and in [0, m_max] for r >= 1 (the
+    length 8 and 16 base cases); scans run over 1 <= m <= m_max."""
 
     __slots__ = ("m", "r")
 
@@ -55,10 +55,9 @@ class CodeFamily(Record):
         super().__init__(m, r)
         if self.r not in (0, 1, 2):
             raise ValueError(f"family index must be 0, 1 or 2, got {self.r}")
-        if not 0 <= self.m <= self.m_max:
-            raise ValueError(f"m = {self.m} outside [0, {self.m_max}] for family {self.label}")
-        if self.n < 8:
-            raise ValueError("length below 8")
+        lo = 1 if self.r == 0 else 0
+        if not lo <= self.m <= self.m_max:
+            raise ValueError(f"m = {self.m} outside [{lo}, {self.m_max}] for family {self.label}")
 
     @property
     def n(self) -> int:
@@ -236,14 +235,12 @@ def scan_range(r: int, m_lo: int | None = None, m_hi: int | None = None) -> rang
     return range(m_lo, m_hi + 1)
 
 
-def admissible_scan(r: int, t: int, m_lo: int | None = None, m_hi: int | None = None,
-                    jobs: int = 1) -> list[int]:
+def admissible_scan(r: int, t: int, m_lo: int | None = None,
+                    m_hi: int | None = None) -> list[int]:
     """All m in [m_lo, m_hi] for which every lambda level required by a
     strength-t hypothesis is a nonnegative integer, ascending.
 
-    Defaults to the family's full range [1, m_max].  ``jobs`` is accepted
-    for compatibility and ignored: the scan runs serially, which beats a
-    process pool now that block counts are closed forms.
+    Defaults to the family's full range [1, m_max].
     """
     members = (CodeFamily(m, r) for m in scan_range(r, m_lo, m_hi))
     return [f.m for f in members if not check_lambda_levels(f, scan_levels(f, t))]

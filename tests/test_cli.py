@@ -32,6 +32,29 @@ def test_lambda_out_of_range_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["gate", "--family", "24m", "--m", "200", "--t", "7"],
+     "m = 200 outside [1, 153] for family 24m"),
+    (["lambda", "--family", "24m", "--m", "0", "--t", "6"],
+     "m = 0 outside [1, 153] for family 24m"),
+    (["gate", "--family", "24m+16", "--m", "164", "--t", "3"],
+     "m = 164 outside [0, 163] for family 24m+16"),
+    (["lambda", "--family", "24m+8", "--m", "-1", "--t", "3"],
+     "m = -1 outside [0, 158] for family 24m+8"),
+])
+def test_m_outside_family_range_exits_2_before_output(capsys, args, message):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_lambda_hamming_base_case(capsys):
+    # m = 0 of family 24m+8 is the [8, 4, 4] Hamming code: a 3-(8, 4, 1) design.
+    assert main(["lambda", "--family", "24m+8", "--m", "0", "--t", "3"]) == 0
+    assert capsys.readouterr().out == "lambda_3 = 1  INTEGRAL\n"
+
+
 def test_lambda_strength_above_k_exits_2_before_output(capsys):
     assert main(["lambda", "--family", "24m", "--m", "8", "--t", "700"]) == 2
     captured = capsys.readouterr()
@@ -154,6 +177,24 @@ def test_theorem_upto_t(capsys):
     assert main(["theorem", "thm5.1", "--t", "7", "--no-timestamp", "--jobs", "1"]) == 0
     out = capsys.readouterr().out
     assert "surviving (1): {58}" in out
+
+
+def test_theorem_ignores_a_forged_store_record(tmp_path, capsys):
+    # A self-consistent PASS record for the (24m, m=63, t=8, u=k+4) gate,
+    # whose honest quotient is non-integral.
+    F = 7 * 2**8 * 40320
+    forged = json.dumps({"family": 0, "m": 63, "t": 8, "u": 260, "F": str(F),
+                         "quotient": "7/1", "verdict": "PASS"}) + "\n"
+    args = ["theorem", "thm4", "--no-timestamp", "--format", "json"]
+    assert main(args) == 0
+    clean = capsys.readouterr().out
+    assert not (tmp_path / "store").exists()
+    store_file = tmp_path / "store" / "gates.jsonl"
+    store_file.parent.mkdir()
+    store_file.write_text(forged)
+    assert main(args) == 0
+    assert capsys.readouterr().out == clean
+    assert store_file.read_text() == forged
 
 
 def test_theorem_deterministic_output(capsys):

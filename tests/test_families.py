@@ -167,10 +167,6 @@ def test_admissible_scan_low_range_empty():
     assert admissible_scan(0, 6, 1, 4) == []
 
 
-def test_admissible_scan_jobs_deterministic():
-    assert admissible_scan(0, 6, 1, 60, jobs=3) == admissible_scan(0, 6, 1, 60)
-
-
 def test_admissible_scan_range_validation():
     with pytest.raises(ValueError):
         admissible_scan(0, 6, 10, 5)

@@ -52,6 +52,13 @@ def test_lambda_call_loads_no_gate_enumerator_or_driver(tmp_path):
     assert not loaded & {"designgate.gate", "designgate.gleason", "designgate.theorems"}
 
 
+def test_theorem_call_loads_no_store(tmp_path):
+    loaded = loaded_after("from designgate.cli import main\n"
+                          f"assert main({CALLS['theorem']!r}) == 0", tmp_path)
+    assert "designgate.theorems" in loaded
+    assert "designgate.store" not in loaded
+
+
 def test_families_import_loads_no_cli_or_report(tmp_path):
     loaded = loaded_after("import designgate.families", tmp_path)
     assert not loaded & {"designgate.cli", "designgate.report", "designgate.theorems"}

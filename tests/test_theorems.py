@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
 
 from designgate import reference_sets as ref
+from designgate.families import admissible_scan
+from designgate.report import render
 from designgate.theorems import THEOREM_IDS, run_theorem
 
 
@@ -101,11 +105,64 @@ def test_unknown_id_rejected():
         run_theorem("thm1", upto_t=7)
 
 
-def test_jobs_do_not_change_reports():
-    seq = run_theorem("thm2", timestamp=False)
-    par = run_theorem("thm2", jobs=3, timestamp=False)
-    assert seq.report.to_dict() == par.report.to_dict()
-
-
 def test_all_ids_exposed():
     assert THEOREM_IDS == ("lemma1", "thm1", "thm2", "thm3", "thm4", "thm5.1", "thm5.2")
+
+
+# SHA-256 of render(run_theorem(id, timestamp=False, upto_t=t).report, fmt),
+# taken from the drivers before the family-24m chain became a staged ladder.
+GOLDEN = {
+    ("lemma1", None): {
+        "table": "83328152f770805c4e60132caac048cba4431f7f9042c19520716097f18298fb",
+        "csv": "7493ada3d042645519d21fa731ad143193718098a0138a6e6e331b2df3b11af0",
+        "json": "936da130fd70820b4104b20cf0fe49ae357f1e5c61157ef84a687ae15b140e15"},
+    ("thm1", None): {
+        "table": "3d49d255b4eafc6ceb0a92930736dfc6b23e802d48cf3c4d78dbde3b00fe015d",
+        "csv": "922383e5058317be509b845527af4691b2d32f0fef5ae305480bfc80b420b85e",
+        "json": "ff4e9f625a09a554c81460bca27e73063e79812e490711c3939bd0ae515591c6"},
+    ("thm2", None): {
+        "table": "e001a4444e2e5f042dbd48b3e7740646a4e75540120965c4d9d09b05a663c44c",
+        "csv": "4e2e4fb8640f839def63c90231ea34609fb08d7ea30459aa944367aabdb5c012",
+        "json": "67cfa06542f600b93252869eef4ebeec0381eddd539211872c0227744185e7e5"},
+    ("thm3", None): {
+        "table": "aa830d7fc099ff31ce7f5ec1419c5e61d22c58a19c498abafc8a9e4b3e3a2e19",
+        "csv": "bbf0761427a5a7892ea2a113207922971bd5197ab173549c517f9cb24f414701",
+        "json": "afd81d803ca4e7c9c74f9555717e0e6e7bd89835551f8824657180af6d3fbb02"},
+    ("thm4", None): {
+        "table": "3b7dc0ecb096dcf57f211261fddc6919f255bd1b0911113eb59a5ae88613f975",
+        "csv": "154a7cf9426d1771a0637cfe14514dcba6d07dff9bce6796e92b924cb9fbc743",
+        "json": "fa15a2514fde41a98b3b9d5698d44f90372d31fb949c200a892167005fed8fd6"},
+    ("thm5.1", None): {
+        "table": "41d6714ae8ab9252e01a8e61035cd77b24a8bcd830348bf8b75577f4d07f14d8",
+        "csv": "bff87b498df9bc6de67ac0fe5350e6baade692d8b47d253763753a06a12d308d",
+        "json": "94f8a85654284deb8a69712f16a80b66b456aaf74879326e2d29718dd88680a0"},
+    ("thm5.2", None): {
+        "table": "6c462ff4a07df7de8baa8aed335b0850570ed3ed02d00b6517075e76e5a421fb",
+        "csv": "b5cf51094f4b48a315fa08760d904fec2764b72f7ba3534e325502daf27b81fa",
+        "json": "4d10e3ef342015333f9393cdb59cb88c6ac852cd6e6fea6e83389bad7046e2f8"},
+    ("thm5.1", 7): {
+        "table": "5d66e6ed3ecba7574e7b7850f8ea803644816698f1cd770ce282034959ffe4ba",
+        "csv": "32e39bc981b2feb183dd6baf70e8b918fa4949a2a056d7df5ccfe480de3e79fd",
+        "json": "aad31079a30c127202204c6fdcf8da249701f11ae687aae426a7cf1c38dac397"},
+    ("thm5.2", 3): {
+        "table": "beaf7961f1c3d82cca872f6edad55b0812169e2abed76ae3db808725da9b7087",
+        "csv": "635fd2673f9640b87fd5efe728f1b82d9b327528df9a5b9062c84dcc061df36c",
+        "json": "7adbcc17bf7c209f309627a1a6d817c4c081ef5ebec3d32a4b925ddd83886167"},
+}
+
+
+@pytest.mark.parametrize("theorem_id,upto_t", GOLDEN)
+def test_driver_output_matches_golden_digests(theorem_id, upto_t):
+    report = run_theorem(theorem_id, timestamp=False, upto_t=upto_t).report
+    digests = {fmt: hashlib.sha256(render(report, fmt).encode()).hexdigest()
+               for fmt in GOLDEN[theorem_id, upto_t]}
+    assert digests == GOLDEN[theorem_id, upto_t]
+
+
+@pytest.mark.parametrize("theorem_id,r,t", [("thm1", 0, 6), ("thm5.2", 2, 3)])
+def test_vacuous_next_weight_gate_raises(monkeypatch, theorem_id, r, t):
+    # The first member to reach a gate is the first of the stage's lambda scan.
+    first = admissible_scan(r, t)[0]
+    monkeypatch.setattr("designgate.theorems.next_weight_count", lambda n: 0)
+    with pytest.raises(ValueError, match=rf"vacuous u = k \+ 4 gate at m = {first}\b"):
+        run_theorem(theorem_id, timestamp=False)
