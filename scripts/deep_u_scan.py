@@ -16,7 +16,6 @@ import sys
 from designgate.families import FAMILY_LABELS, CodeFamily
 from designgate.gate import integrality_gate
 from designgate.gleason import extremal_weight_enumerator
-from designgate.report import exact_str
 
 
 def main() -> int:
@@ -38,9 +37,9 @@ def main() -> int:
         res = integrality_gate(f, args.t, u)
         if not res.integral:
             fails += 1
-            print(f"u={u}: FAIL quotient {exact_str(res.quotient)}")
+            print(f"u={u}: FAIL quotient {res.quotient}")
         elif args.verbose:
-            print(f"u={u}: pass ({exact_str(res.quotient)})")
+            print(f"u={u}: pass ({res.quotient})")
     print(f"{f}: strength {args.t}, {total} weights, "
           f"{vacuous} vacuous, {fails} failing")
     return 0

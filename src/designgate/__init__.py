@@ -18,9 +18,7 @@ _EXPORTS = {
         "apply_strengthening",
         "block_count",
         "design_params",
-        "extend_lambda",
         "lambda_at",
-        "lambda_base",
         "lambda_vector",
     ),
     "gate": (

@@ -23,7 +23,7 @@ from .families import (
     scan_levels,
     scan_range,
 )
-from .report import FORMATS, Report, exact_str, gate_row, lambda_row, render, set_row, timestamp_now
+from .report import FORMATS, Report, gate_row, lambda_row, render, set_row, timestamp_now
 
 _FAMILY_INDEX = {label: r for r, label in enumerate(FAMILY_LABELS)}
 _JOBS_HELP = "accepted for compatibility and ignored: the work runs serially"
@@ -100,7 +100,7 @@ def _cmd_lambda(args) -> int:
     levels = range(f.am_strength, t_eff + 1)
     for i, v in zip(levels, lambda_levels(f, levels)):
         flag = "INTEGRAL" if v.denominator == 1 else "NON-INTEGRAL"
-        print(f"lambda_{i} = {exact_str(v)}  {flag}")
+        print(f"lambda_{i} = {v}  {flag}")
     return 0
 
 
@@ -112,14 +112,19 @@ def _cmd_scan(args) -> int:
                                        "m_range": [m_range[0], m_range[-1]]})
     if not args.no_timestamp:
         report.generated_at = timestamp_now()
-    ms = []
+    ms, short = [], []
     for m in m_range:
         f = CodeFamily(m, r)
+        if apply_strengthening(f, args.t) > f.k:
+            short.append(m)
+            continue
         levels = scan_levels(f, args.t)
         values = list(zip(levels, lambda_levels(f, levels)))
         report.rows += [lambda_row(m, i, v) for i, v in values]
         if not nonintegral_levels(values):
             ms.append(m)
+    if short:
+        report.rows.append(set_row("block size below strength", short))
     report.rows.append(set_row("admissible", ms))
     report.surviving_set = ms
     _emit(render(report, args.format), args.out)

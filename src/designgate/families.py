@@ -86,17 +86,14 @@ class CodeFamily(Record):
 class DesignParams(Record):
     """Parameters of a hypothesized t-(v, k, lambda_t) design."""
 
-    __slots__ = ("v", "k", "t", "lambda_t", "self_orthogonal")
+    __slots__ = ("v", "k", "t", "lambda_t")
 
-    def __init__(self, v: int, k: int, t: int, lambda_t: Fraction,
-                 self_orthogonal: bool = False):
-        super().__init__(v, k, t, lambda_t, self_orthogonal)
+    def __init__(self, v: int, k: int, t: int, lambda_t: int | Fraction):
+        super().__init__(v, k, t, lambda_t)
         if not 0 <= self.t <= self.k <= self.v:
             raise ValueError(f"need 0 <= t <= k <= v, got t={self.t} k={self.k} v={self.v}")
         if self.lambda_t < 0:
             raise ValueError("lambda_t must be nonnegative")
-        if self.self_orthogonal and self.k % 2:
-            raise ValueError("self-orthogonal design needs even block size")
 
 
 def block_count(f: CodeFamily) -> int:
@@ -153,23 +150,6 @@ def lambda_at(f: CodeFamily, i: int) -> int | Fraction:
     return lambda_levels(f, (i,))[0]
 
 
-def lambda_base(f: CodeFamily) -> int | Fraction:
-    """lambda at the family's Assmus-Mattson strength: C(5m-2, m-1) for
-    r = 0, b * C(k, s) / C(v, s) for r = 1, 2."""
-    if f.r == 0:
-        return Fraction(binom(5 * f.m - 2, f.m - 1))
-    return lambda_at(f, f.am_strength)
-
-
-def extend_lambda(f: CodeFamily, t: int) -> Fraction:
-    """lambda_t of the hypothesized t-design extending the base design:
-    lambda_base * C(k-s, t-s) / C(v-s, t-s) with s the base strength."""
-    s = f.am_strength
-    if not s <= t <= f.k:
-        raise ValueError(f"need {s} <= t <= {f.k}, got t={t}")
-    return lambda_base(f) * Fraction(binom(f.k - s, t - s), binom(f.n - s, t - s))
-
-
 def lambda_vector(d: DesignParams) -> list[Fraction]:
     """[lambda_0, ..., lambda_t] of a t-(v, k, lambda_t) design, via
     lambda_i = lambda_t * C(v-i, t-i) / C(k-i, t-i)."""
@@ -180,14 +160,13 @@ def lambda_vector(d: DesignParams) -> list[Fraction]:
     ]
 
 
-def design_params(f: CodeFamily, t: int, self_orthogonal: bool = True) -> DesignParams:
-    """The t-design hypothesis on the minimum-weight support design of f.
-
-    Minimum-weight supports of a doubly even self-dual code pairwise meet in
-    an even number of points, hence self_orthogonal defaults to True.
-    """
-    return DesignParams(v=f.n, k=f.k, t=t, lambda_t=extend_lambda(f, t),
-                        self_orthogonal=self_orthogonal)
+def design_params(f: CodeFamily, t: int) -> DesignParams:
+    """The t-design hypothesis on the minimum-weight support design of f,
+    for s <= t <= k with s the base strength."""
+    s = f.am_strength
+    if not s <= t <= f.k:
+        raise ValueError(f"need {s} <= t <= {f.k}, got t={t}")
+    return DesignParams(v=f.n, k=f.k, t=t, lambda_t=lambda_at(f, t))
 
 
 def apply_strengthening(f: CodeFamily, t: int) -> int:
@@ -238,9 +217,11 @@ def scan_range(r: int, m_lo: int | None = None, m_hi: int | None = None) -> rang
 def admissible_scan(r: int, t: int, m_lo: int | None = None,
                     m_hi: int | None = None) -> list[int]:
     """All m in [m_lo, m_hi] for which every lambda level required by a
-    strength-t hypothesis is a nonnegative integer, ascending.
+    strength-t hypothesis is a nonnegative integer, ascending.  A member
+    whose block size k is below the effective strength is not admissible.
 
     Defaults to the family's full range [1, m_max].
     """
     members = (CodeFamily(m, r) for m in scan_range(r, m_lo, m_hi))
-    return [f.m for f in members if not check_lambda_levels(f, scan_levels(f, t))]
+    return [f.m for f in members if apply_strengthening(f, t) <= f.k
+            and not check_lambda_levels(f, scan_levels(f, t))]

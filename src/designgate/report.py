@@ -12,23 +12,12 @@ renders a table does not load them.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 FORMATS = ("table", "csv", "json")
 
 _CSV_FIELDS = (
     "row", "stage", "label", "family", "m", "t", "u", "level",
     "value", "integral", "F", "quotient", "verdict", "ms",
 )
-
-
-def exact_str(x) -> str:
-    """Exact decimal for integers, "p/q" for non-integral rationals."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
 
 
 def timestamp_now() -> str:
@@ -52,7 +41,7 @@ def gate_row(res, stage: int | None = None) -> dict:
         "t": res.t,
         "u": res.u,
         "F": str(res.F),
-        "quotient": exact_str(res.quotient),
+        "quotient": str(res.quotient),
         "verdict": res.verdict,
     }
     if stage is not None:
@@ -60,17 +49,14 @@ def gate_row(res, stage: int | None = None) -> dict:
     return row
 
 
-def lambda_row(m: int, level: int, value: Fraction, stage: int | None = None) -> dict:
-    row = {
+def lambda_row(m: int, level: int, value) -> dict:
+    return {
         "row": "lambda",
         "m": m,
         "level": level,
-        "value": exact_str(value),
-        "integral": Fraction(value).denominator == 1,
+        "value": str(value),
+        "integral": value.denominator == 1,
     }
-    if stage is not None:
-        row["stage"] = stage
-    return row
 
 
 class Report:

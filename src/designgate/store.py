@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,7 +55,6 @@ class ResultStore:
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
         self.path = self.directory / _FILENAME
-        self._lock = threading.Lock()
         self._cache: dict[Key, GateResult] = {}
         self._loaded = False
 
@@ -79,23 +77,20 @@ class ResultStore:
         self._loaded = True
 
     def get(self, family: int, m: int, t: int, u: int) -> GateResult | None:
-        with self._lock:
-            self._load()
-            return self._cache.get((family, m, t, u))
+        self._load()
+        return self._cache.get((family, m, t, u))
 
     def put(self, res: GateResult) -> None:
-        with self._lock:
-            self._load()
-            key = (res.family, res.m, res.t, res.u)
-            if key in self._cache:
-                return
-            self._cache[key] = res
-            self.directory.mkdir(parents=True, exist_ok=True)
-            line = json.dumps(result_to_record(res), sort_keys=False)
-            with open(self.path, "a", encoding="ascii") as fh:
-                fh.write(line + "\n")
+        self._load()
+        key = (res.family, res.m, res.t, res.u)
+        if key in self._cache:
+            return
+        self._cache[key] = res
+        self.directory.mkdir(parents=True, exist_ok=True)
+        line = json.dumps(result_to_record(res), sort_keys=False)
+        with open(self.path, "a", encoding="ascii") as fh:
+            fh.write(line + "\n")
 
     def __len__(self) -> int:
-        with self._lock:
-            self._load()
-            return len(self._cache)
+        self._load()
+        return len(self._cache)

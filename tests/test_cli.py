@@ -1,6 +1,13 @@
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from designgate.cli import build_parser, main
 from designgate.families import FAMILY_LABELS, M_MAXES, admissible_scan
@@ -119,6 +126,32 @@ def test_scan_set_matches_admissible_scan(block_count_calls, capsys, family, t, 
     assert data["rows"][-1]["ms"] == data["surviving_set"]
 
 
+@pytest.mark.parametrize("family", FAMILY_LABELS)
+def test_scan_lists_members_whose_block_size_is_below_the_strength(capsys, family):
+    # m = 1 has k = 8 < 9 in every family; every larger m is scanned.
+    r = FAMILY_LABELS.index(family)
+    assert main(["scan", "--family", family, "--t", "9", "--no-timestamp",
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    sets = [(row["label"], row["ms"]) for row in data["rows"] if row["row"] == "set"]
+    assert sets == [("block size below strength", [1]), ("admissible", data["surviving_set"])]
+    assert data["surviving_set"] == admissible_scan(r, 9)
+    assert {row["m"] for row in data["rows"] if row["row"] == "lambda"} == set(
+        range(2, M_MAXES[r] + 1))
+
+
+def test_scan_strength_above_every_block_size(capsys):
+    t = 10**20
+    assert main(["scan", "--family", "24m", "--t", str(t), "--no-timestamp",
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["rows"] == [
+        {"row": "set", "label": "block size below strength", "ms": list(range(1, 154))},
+        {"row": "set", "label": "admissible", "ms": []},
+    ]
+    assert data["surviving_set"] == admissible_scan(0, t) == []
+
+
 def test_gate_command_and_cache(tmp_path, capsys):
     args = ["gate", "--family", "24m", "--m", "8", "--t", "7", "--no-timestamp"]
     assert main(args) == 0
@@ -233,3 +266,126 @@ def test_theorem_ids_offered_and_checked_by_the_parser(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument id: invalid choice: 'thm9'" in captured.err
+
+
+# SHA-256 of stdout, with the exit code, for a sample of calls: non-integral
+# lambdas, a FAIL_NONINTEGER gate in each format, a PRE-GATE FAIL gate, a scan
+# per family and rejected input.
+CLI_GOLDEN = {
+    "lambda --family 24m --m 1 --t 8":
+        (0, "92ecf5a78e4113b895468398c352618c5c08a1082eaebb7af154d6fa8bfcd242"),
+    "lambda --family 24m --m 8 --t 7":
+        (0, "37843f7d960f7e5cbbcfde4957d639989ad6f775a7dc5316d2148dc1966d7ec4"),
+    "lambda --family 24m+8 --m 0 --t 3":
+        (0, "4bf88721a49809236bce6c1e3c03b1b5d23a46a52294e5e97d452882ad12ddaa"),
+    "lambda --family 24m+16 --m 23 --t 5":
+        (0, "d848ba0c2e1ab16fd8111297a431b0f522cc97b5faed6de55e6cbc1248359802"),
+    "lambda --family 24m --m 154 --t 6":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "gate --family 24m --m 8 --t 7 --no-timestamp":
+        (0, "e29a343ba38c166d1a9fc54bb4582d12c29838c5c28af308c9d4876c320fc314"),
+    "gate --family 24m --m 8 --t 7 --no-timestamp --format csv":
+        (0, "99d41a6e390b9e0577fcf6d86ac373c791dc795d8c0abd778777b2547545cf84"),
+    "gate --family 24m --m 8 --t 7 --no-timestamp --format json":
+        (0, "98050f5cc0552bafa4ea7a85095b3e6992284e0184e2baf9cd4aa8d1e2fa6da3"),
+    "gate --family 24m --m 1 --t 6 --no-timestamp":
+        (0, "b4095e649db3197cb0cbec8833bd3e9a997c553d70e46a5b7e5c7da92394825d"),
+    "gate --family 24m --m 7 --t 7 --no-timestamp --format json":
+        (0, "7aa99db96b56ea734bad9f51142d9001bb900e58a0989c40b403b07e251db408"),
+    "gate --family 24m+8 --m 58 --t 7 --no-timestamp":
+        (0, "8b2c889b02effd567c69b74773da2aa1e8d49abfb7f2f9a7424d975fb3c8362c"),
+    "gate --family 24m+16 --m 23 --t 5 --u 100 --no-timestamp --format csv":
+        (0, "354531678bb12bff3c2f4d5b8eb9323af844d3f004c40661275ff02bf0a80161"),
+    "gate --family 24m --m 8 --t 7 --u 37":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "scan --family 24m --t 6 --no-timestamp":
+        (0, "43456894bcf4cf8a960763ceb1ba1509585bddceecf3c0569eaf8bd2aee3a6d1"),
+    "scan --family 24m+8 --t 5 --no-timestamp --format csv":
+        (0, "ef91444bd5519bd145ff64f51d198e553a68106540d4bc97620dff97c90a8fac"),
+    "scan --family 24m+16 --t 4 --no-timestamp --format json":
+        (0, "f493323dd5a29f7ded5df0d0004f26aa006f94bc1249bebd4b4da8baa3a841e7"),
+    "scan --family 24m --t 8 --m-min 40 --m-max 90 --no-timestamp --format json":
+        (0, "e13efda4a6e3cdd9ea3988e63b406176ec3b983bf9a0dc11f69fa8d535d15bba"),
+    "scan --family 24m+8 --t 3 --m-max 10 --no-timestamp":
+        (0, "cd27398309185745cbfd8c8a332634475e469f11255fac54241bc749cb699d84"),
+    "scan --family 24m --t 6 --m-min 5 --m-max 3":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "wenum --n 24":
+        (0, "30ba6e4d9f66c9e81e1bea1d38495eca56a88813eb39501edbec633e98f839c3"),
+    "wenum --n 48":
+        (0, "e55eb0ec11cd0c6687126d5c3eb4f94cb4e1cafe718279817b0b3f8f0573c808"),
+    "wenum --n 20":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("args", CLI_GOLDEN)
+def test_cli_output_matches_golden_digests(capsys, args):
+    code = main(args.split())
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == CLI_GOLDEN[args]
+
+
+def _number(near):
+    """Mostly a value near the valid range, one time in four any in +-10**25."""
+    return st.tuples(st.integers(0, 3), near, st.integers(-10**25, 10**25)).map(
+        lambda c: str(c[1] if c[0] else c[2]))
+
+
+_M, _T = _number(st.integers(-2, 170)), _number(st.integers(-1, 14))
+_FLAGS = {
+    "lambda": (("--m", _M, True), ("--t", _T, True)),
+    "scan": (("--t", _T, True), ("--m-min", _M, False), ("--m-max", _M, False),
+             ("--jobs", _number(st.integers(-1, 3)), False)),
+    "gate": (("--m", _M, True), ("--t", _T, True),
+             ("--u", _number(st.integers(-1, 200).map(lambda x: 4 * x)), False)),
+    "wenum": (("--n", _number(st.integers(-1, 130).map(lambda x: 8 * x)), True),),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command != "wenum":
+        argv += ["--family", draw(st.sampled_from(FAMILY_LABELS))]
+    for flag, value, required in _FLAGS[command]:
+        if required or draw(st.booleans()):
+            argv += [flag, draw(value)]
+    if command in ("scan", "gate"):
+        if draw(st.booleans()):
+            argv += ["--format", draw(st.sampled_from(FORMATS))]
+        if draw(st.booleans()):
+            argv.append("--no-timestamp")
+    return argv
+
+
+@settings(max_examples=150)
+@given(argv=_argv(), out=st.sampled_from([None, "file", "missing-dir"]))
+@example(argv=["scan", "--family", "24m", "--t", "99999999999999999999"], out=None)
+@example(argv=["lambda", "--family", "24m", "--m", "8", "--t", "7", "--format", "json"],
+         out=None)
+def test_cli_exits_0_with_output_or_2_and_3_with_none(argv, out):
+    # Every call prints complete output and exits 0, or rejects its input
+    # (2) or its --out path (3) with nothing on stdout; no traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("nope" if out == "missing-dir" else "") / "out.txt"
+        if argv[0] == "lambda":  # the one subcommand without --out
+            out = None
+        if out is not None:
+            argv = argv + ["--out", str(path)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the argv
+                code = exc.code
+                assert code == 2, stderr.getvalue()
+        if code == 0:
+            written = stdout.getvalue() if out is None else path.read_text()
+            assert written
+            assert out is None or stdout.getvalue() == ""
+        else:
+            assert code in (2, 3), stderr.getvalue()
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue()

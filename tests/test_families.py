@@ -14,9 +14,7 @@ from designgate.families import (
     block_count,
     check_lambda_levels,
     design_params,
-    extend_lambda,
     lambda_at,
-    lambda_base,
     lambda_levels,
     lambda_vector,
 )
@@ -55,21 +53,24 @@ def test_block_count_closed_form_matches_enumerator(r):
 
 
 def test_lambda_base_closed_form():
-    assert lambda_base(CodeFamily(1, 0)) == 1
-    assert lambda_base(CodeFamily(2, 0)) == binom(8, 1) == 8
+    assert lambda_at(CodeFamily(1, 0), 5) == 1
+    assert lambda_at(CodeFamily(2, 0), 5) == binom(8, 1) == 8
     # length-8 base case: b = 14 minimum-weight words, lambda_3 = 1
-    assert lambda_base(CodeFamily(0, 1)) == 1
+    assert lambda_at(CodeFamily(0, 1), 3) == 1
+    # family 24m: lambda_5 = C(5m-2, m-1) for every m
+    for m in range(1, M_MAXES[0] + 1):
+        assert lambda_at(CodeFamily(m, 0), 5) == binom(5 * m - 2, m - 1), m
 
 
 def test_extend_lambda_values():
     f8 = CodeFamily(8, 0)
-    assert extend_lambda(f8, 6) == 2092128
-    assert extend_lambda(f8, 5) == binom(38, 7)
+    assert design_params(f8, 6).lambda_t == 2092128
+    assert design_params(f8, 5).lambda_t == binom(38, 7)
     f1 = CodeFamily(1, 0)
-    assert extend_lambda(f1, 8) == Fraction(1, 969)
+    assert design_params(f1, 8).lambda_t == Fraction(1, 969)
     # any m: level-5 value is the closed form
     for m in (3, 17, 90):
-        assert extend_lambda(CodeFamily(m, 0), 5) == binom(5 * m - 2, m - 1)
+        assert design_params(CodeFamily(m, 0), 5).lambda_t == binom(5 * m - 2, m - 1)
 
 
 def test_lambda_levels_exact_and_int_exactly_when_integral():
@@ -84,14 +85,27 @@ def test_lambda_levels_exact_and_int_exactly_when_integral():
 
 
 def test_extend_lambda_matches_lambda_at():
+    # Second route: extend the base level, lambda_t = lambda_s * C(k-s, t-s) /
+    # C(v-s, t-s), with lambda_s from the Gleason enumerator's block count.
     for m, r in [(4, 0), (9, 1), (12, 2)]:
         f = CodeFamily(m, r)
-        for t in range(f.am_strength, f.am_strength + 4):
-            assert extend_lambda(f, t) == lambda_at(f, t)
+        s = f.am_strength
+        base = Fraction(min_weight_count(f.n) * binom(f.k, s), binom(f.n, s))
+        for t in range(s, s + 4):
+            extended = base * Fraction(binom(f.k - s, t - s), binom(f.n - s, t - s))
+            assert extended == lambda_at(f, t) == design_params(f, t).lambda_t, (f, t)
+
+
+@pytest.mark.parametrize("m,r,t", [(8, 0, 4), (8, 0, 37), (0, 1, 2), (0, 1, 5),
+                                   (3, 2, 0), (3, 2, 17)])
+def test_design_params_rejects_strength_outside_base_and_block_size(m, r, t):
+    f = CodeFamily(m, r)
+    with pytest.raises(ValueError, match=rf"need {f.am_strength} <= t <= {f.k}, got t={t}$"):
+        design_params(f, t)
 
 
 def test_lambda_vector_golay():
-    d = DesignParams(v=24, k=8, t=5, lambda_t=Fraction(1), self_orthogonal=True)
+    d = DesignParams(v=24, k=8, t=5, lambda_t=Fraction(1))
     vec = lambda_vector(d)
     assert vec == [759, 253, 77, 21, 5, 1]
 
@@ -129,8 +143,6 @@ def test_lambda_vector_nonincreasing(m, r):
 def test_design_params_validation():
     with pytest.raises(ValueError):
         DesignParams(v=10, k=11, t=2, lambda_t=Fraction(1))
-    with pytest.raises(ValueError):
-        DesignParams(v=10, k=5, t=2, lambda_t=Fraction(1), self_orthogonal=True)
 
 
 def test_apply_strengthening():

@@ -158,8 +158,9 @@ def test_gate_m63_strength8_is_honestly_integral():
 
 
 def test_gate_matches_design_params_route_at_every_weight():
-    # integrality_gate takes its lambdas from one block count; the second
-    # route takes them from extend_lambda and lambda_vector instead.
+    # integrality_gate takes every level from lambda_levels; the second
+    # route takes only lambda_t from design_params and derives the lower
+    # levels with lambda_vector.
     f, t = CodeFamily(10, 2), 4
     enum = extremal_weight_enumerator(f.n)
     weights = [u for u in range(f.k, f.n - f.k + 1, 4) if enum.coefficient(u) > 0]

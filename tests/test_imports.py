@@ -59,6 +59,11 @@ def test_theorem_call_loads_no_store(tmp_path):
     assert "designgate.store" not in loaded
 
 
+def test_report_import_loads_no_fractions(tmp_path):
+    # Exact numbers are printed with str(), so rendering needs no Fraction.
+    assert "fractions" not in loaded_after("import designgate.report", tmp_path)
+
+
 def test_families_import_loads_no_cli_or_report(tmp_path):
     loaded = loaded_after("import designgate.families", tmp_path)
     assert not loaded & {"designgate.cli", "designgate.report", "designgate.theorems"}
@@ -94,8 +99,8 @@ def test_public_names_and_version():
     assert set(designgate.__all__) == {
         "binom", "elem_sym", "falling", "stirling2", "stirling2_by_formula",
         "CodeFamily", "DesignParams", "NonIntegralLambdaError", "admissible_scan",
-        "apply_strengthening", "block_count", "design_params", "extend_lambda",
-        "lambda_at", "lambda_base", "lambda_vector",
+        "apply_strengthening", "block_count", "design_params", "lambda_at",
+        "lambda_vector",
         "FAIL_NONINTEGER", "PASS", "GateResult", "IntersectionSolution", "MomentVector",
         "NonIntegralMomentError", "OffsetSet", "annihilator_divisor", "integrality_gate",
         "moment_vector", "offset_moment_coefficients", "offset_product_sum",

@@ -14,7 +14,7 @@ from designgate.theorems import STAGES_24M8
 
 FROZEN = [
     CodeFamily(8, 0),
-    DesignParams(v=24, k=8, t=5, lambda_t=Fraction(1), self_orthogonal=True),
+    DesignParams(v=24, k=8, t=5, lambda_t=Fraction(1)),
     OffsetSet((0, 2, 4)),
     MomentVector(8, (759, 6072)),
     GateResult.build(0, 8, 7, 36, 1569595833, 8),
