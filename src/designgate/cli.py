@@ -10,6 +10,8 @@ cold start loads no more than its subcommand uses.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .families import (
@@ -109,9 +111,8 @@ def _cmd_scan(args) -> int:
     r = _FAMILY_INDEX[args.family]
     m_range = scan_range(r, args.m_min, args.m_max)
     report = Report(id="scan", inputs={"family": args.family, "t": args.t,
-                                       "m_range": [m_range[0], m_range[-1]]})
-    if not args.no_timestamp:
-        report.generated_at = timestamp_now()
+                                       "m_range": [m_range[0], m_range[-1]]},
+                    generated_at=None if args.no_timestamp else timestamp_now())
     ms, short = [], []
     for m in m_range:
         f = CodeFamily(m, r)
@@ -150,9 +151,8 @@ def _cmd_gate(args) -> int:
         rows = [gate_row(res)]
         surviving = [args.m] if res.integral else []
     report = Report(id="gate", inputs={"family": args.family, "m": args.m, "t": args.t, "u": u},
-                    rows=rows, surviving_set=surviving)
-    if not args.no_timestamp:
-        report.generated_at = timestamp_now()
+                    rows=rows, surviving_set=surviving,
+                    generated_at=None if args.no_timestamp else timestamp_now())
     _emit(render(report, args.format), args.out)
     return 0
 
@@ -200,6 +200,9 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = getattr(args, "out", None)  # before the work, so a bad --out wastes none
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

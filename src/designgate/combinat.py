@@ -4,13 +4,13 @@ numbers of the second kind, elementary symmetric polynomials.
 All arithmetic in this package is exact.  Integers are plain Python ``int``
 (arbitrary precision); rationals are ``fractions.Fraction``, which is always
 stored in lowest terms with a positive denominator, so an integrality verdict
-is simply ``value.denominator == 1``.  Floating point is never used.
+is simply ``value.denominator == 1``, as it is for an ``int``; ``fractions``
+is loaded only once a value is non-integral.  Floating point is never used.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -87,8 +87,18 @@ def elem_sym(xs: list[int]) -> list[int]:
     return coeffs
 
 
+def exact_quotient(num: int, den: int) -> int | Fraction:
+    """num / den: an int when den divides num, else a Fraction."""
+    q, rem = divmod(num, den)
+    if not rem:
+        return q
+    from fractions import Fraction
+    return Fraction(num, den)
+
+
 def as_fraction(x) -> Fraction:
     """Coerce an exact number to Fraction (rejects floats)."""
     if isinstance(x, float):
         raise TypeError("floating point is not allowed in exact computations")
+    from fractions import Fraction
     return x if isinstance(x, Fraction) else Fraction(x)

@@ -16,11 +16,10 @@ integer for every i <= t, which is what :func:`admissible_scan` checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from ._record import Record
-from .combinat import binom
+from .combinat import binom, exact_quotient
 
 AM_STRENGTHS = (5, 3, 1)
 M_MAXES = (153, 158, 163)
@@ -137,12 +136,7 @@ def lambda_levels(f: CodeFamily, levels) -> list[int | Fraction]:
         if not 0 <= i <= k:
             raise ValueError(f"level {i} outside [0, {k}]")
     b = block_count(f)
-    out = []
-    for i in levels:
-        num, den = b * binom(k, i), binom(n, i)
-        q, rem = divmod(num, den)
-        out.append(Fraction(num, den) if rem else q)
-    return out
+    return [exact_quotient(b * binom(k, i), binom(n, i)) for i in levels]
 
 
 def lambda_at(f: CodeFamily, i: int) -> int | Fraction:
@@ -153,11 +147,9 @@ def lambda_at(f: CodeFamily, i: int) -> int | Fraction:
 def lambda_vector(d: DesignParams) -> list[Fraction]:
     """[lambda_0, ..., lambda_t] of a t-(v, k, lambda_t) design, via
     lambda_i = lambda_t * C(v-i, t-i) / C(k-i, t-i)."""
+    from fractions import Fraction
     lam_t = Fraction(d.lambda_t)
-    return [
-        lam_t * Fraction(binom(d.v - i, d.t - i), binom(d.k - i, d.t - i))
-        for i in range(d.t + 1)
-    ]
+    return [lam_t * binom(d.v - i, d.t - i) / binom(d.k - i, d.t - i) for i in range(d.t + 1)]
 
 
 def design_params(f: CodeFamily, t: int) -> DesignParams:

@@ -30,11 +30,10 @@ exists.  That quotient test is :func:`integrality_gate`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
-from .combinat import binom, elem_sym, falling, stirling2
+from .combinat import binom, elem_sym, exact_quotient, falling, stirling2
 from .families import (
     T_CAP,
     CodeFamily,
@@ -168,11 +167,12 @@ def residual_coefficient(i: int, l: int) -> int:
 
 
 class GateResult(Record):
-    """Outcome of one integrality test."""
+    """Outcome of one integrality test; the quotient is a Fraction only if
+    it is non-integral."""
 
     __slots__ = ("family", "m", "t", "u", "F", "quotient", "integral", "verdict")
 
-    def __init__(self, family: int, m: int, t: int, u: int, F: int, quotient: Fraction,
+    def __init__(self, family: int, m: int, t: int, u: int, F: int, quotient: int | Fraction,
                  integral: bool, verdict: str):
         super().__init__(family, m, t, u, F, quotient, integral, verdict)
         if self.integral != (self.quotient.denominator == 1):
@@ -182,7 +182,7 @@ class GateResult(Record):
 
     @staticmethod
     def build(family: int, m: int, t: int, u: int, F: int, divisor: int) -> "GateResult":
-        q = Fraction(F, divisor)
+        q = exact_quotient(F, divisor)
         integral = q.denominator == 1
         return GateResult(family=family, m=m, t=t, u=u, F=F, quotient=q,
                           integral=integral,
@@ -255,6 +255,7 @@ def solve_intersection_numbers(
     case the reference block contributes n_k = 1).  The system must be
     square; it is solved exactly by Gaussian elimination over Fractions.
     """
+    from fractions import Fraction
     if len(set(free_levels)) != len(free_levels):
         raise ValueError("free levels must be distinct")
     if fixed:

@@ -28,13 +28,14 @@ at x = y = 1, where g1 = 16 and g2 = 0.  The drivers need only the
 minimum-weight count, which has a closed form
 (:func:`designgate.families.block_count`), and the sign of the next
 coefficient, which :func:`next_weight_count` gets by Lagrange-Buermann
-inversion in O(floor(n/24)) integer operations.  The series prefix is the
+inversion as a binomial sum of at most 12 terms.  The series prefix is the
 test oracle for both.
 """
 
 from __future__ import annotations
 
 from ._record import Record
+from .combinat import binom
 
 # Largest family length the scans ever request: 24*163 + 16.
 LENGTH_CAP = 24 * 163 + 16
@@ -161,17 +162,24 @@ def _phi_power_prefix(e: int, terms: int) -> list[int]:
 
 def _burmann_coefficient(a: int, j: int) -> int:
     """c_j = [g^j] PHI^(-a) with g = PSI / PHI^3 = z + O(z^2), by
-    Lagrange-Buermann inversion:
+    Lagrange-Buermann inversion with e = 3j - a - 1 >= 0:
 
-        c_j = (-a / j) [z^(j-1)] PHI' * PHI^(3j-a-1) * (1 - z)^(-4j).
+        c_j = (-a / j) [z^(j-1)] PHI' * PHI^e * (1 - z)^(-4j)
+            = (-a / j) sum_{d <= min(2e+1, j-1)} D_d C(5j-2-d, j-1-d),
+
+    where D_d = 14 p_d + 2 p_(d-1), p = PHI^e, are the coefficients of the
+    degree-(2e+1) polynomial PHI' * PHI^e.
     """
-    p = _phi_power_prefix(3 * j - a - 1, j)
+    e = 3 * j - a - 1
+    if e < 0:
+        raise ValueError(f"closed Buermann sum needs 3j > a, got a={a}, j={j}")
+    p = _phi_power_prefix(e, 2 * e + 1) + [0]  # p[2e+1] = p[-1] = 0
+    top, bottom = 5 * j - 2, j - 1
+    c = binom(top, bottom)  # C(top - d, bottom - d) at d = 0
     total = 0
-    q = 1  # [z^i] (1 - z)^(-4j) = C(4j + i - 1, i)
-    for i in range(j):
-        d = j - 1 - i
-        total += (14 * p[d] + (2 * p[d - 1] if d else 0)) * q
-        q = _exact_div(q * (4 * j + i), i + 1)
+    for d in range(min(2 * e + 1, bottom) + 1):
+        total += (14 * p[d] + 2 * p[d - 1]) * c
+        c = _exact_div(c * (bottom - d), top - d)
     return _exact_div(-a * total, j)
 
 
@@ -187,8 +195,8 @@ def next_weight_count(n: int) -> int:
         A_k     = -c_{m+1}
         A_{k+4} = -c_{m+2} - c_{m+1} * (14a - 46(m+1)).
 
-    O(m) integer operations, each division checked; the series prefix is
-    the test oracle.
+    Here e = 3j - a - 1 is 2 - r and 5 - r, r = a - 3m, so each c_j is a
+    sum of at most 12 terms; the series prefix is the test oracle.
     """
     _validate_length(n)
     a, m = n // 8, n // 24

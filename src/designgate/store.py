@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from pathlib import Path
 
+from .combinat import exact_quotient
 from .gate import GateResult
 
 ENV_VAR = "DESIGNGATE_STORE"
@@ -43,7 +43,7 @@ def record_to_result(rec: dict) -> GateResult:
         t=int(rec["t"]),
         u=int(rec["u"]),
         F=int(rec["F"]),
-        quotient=Fraction(int(p), int(q)),
+        quotient=exact_quotient(int(p), int(q)),
         integral=rec["verdict"] == "PASS",
         verdict=rec["verdict"],
     )
@@ -67,12 +67,8 @@ class ResultStore:
             return
         if self.path.exists():
             with open(self.path, encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    res = record_to_result(rec)
+                for line in filter(None, map(str.strip, fh)):
+                    res = record_to_result(json.loads(line))
                     self._cache[(res.family, res.m, res.t, res.u)] = res
         self._loaded = True
 

@@ -1,7 +1,9 @@
-"""Test oracle for :mod:`designgate.gleason`: the Gleason basis as explicit
+"""Test oracles for :mod:`designgate.gleason`: the Gleason basis as explicit
 homogeneous polynomials in x and y, and the extremal combination solved
-against them over the rationals.  The library works on coefficient series
-instead; the tests check that both routes give the same enumerator.
+against them over the rationals; and A_{k+4} by the O(n/24) Lagrange-Buermann
+loop over the full (1 - z)^(-4j) prefix.  The library works on coefficient
+series and a closed binomial sum instead; the tests check that both routes
+agree.
 """
 
 from __future__ import annotations
@@ -81,3 +83,35 @@ def solve_basis_combination(n: int) -> list[Fraction]:
         lead = basis[i].coefficient(4 * i)
         cs.append(acc / lead)
     return cs
+
+
+def _phi_power_by_products(e: int) -> list[int]:
+    """PHI^e = (1 + 14z + z^2)^e for e >= 0, by repeated multiplication."""
+    p = [1]
+    for _ in range(e):
+        p = [a + 14 * b + c for a, b, c in zip(p + [0, 0], [0] + p + [0], [0, 0] + p)]
+    return p
+
+
+def burmann_coefficient_by_loop(a: int, j: int) -> int:
+    """c_j = (-a / j) [z^(j-1)] PHI' * PHI^(3j-a-1) * (1 - z)^(-4j), summed
+    over every i <= j - 1 with [z^i] (1 - z)^(-4j) = C(4j + i - 1, i)."""
+    p = _phi_power_by_products(3 * j - a - 1) + [0] * j
+    total = 0
+    q = 1  # C(4j + i - 1, i)
+    for i in range(j):
+        d = j - 1 - i
+        total += (14 * p[d] + (2 * p[d - 1] if d else 0)) * q
+        q = q * (4 * j + i) // (i + 1)  # exact: the next binomial
+    c, rem = divmod(-a * total, j)
+    if rem:
+        raise ArithmeticError(f"c_{j} is not an integer at a = {a}")
+    return c
+
+
+def next_weight_count_by_loop(n: int) -> int:
+    """A_{k+4} = -c_{m+2} - c_{m+1} (14a - 46(m+1)), a = n/8, m = floor(n/24)."""
+    _validate_length(n)
+    a, m = n // 8, n // 24
+    return (-burmann_coefficient_by_loop(a, m + 2)
+            - burmann_coefficient_by_loop(a, m + 1) * (14 * a - 46 * (m + 1)))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from designgate import cli
 from designgate.cli import build_parser, main
 from designgate.families import FAMILY_LABELS, M_MAXES, admissible_scan
 from designgate.report import FORMATS
@@ -241,6 +242,24 @@ def test_theorem_deterministic_output(capsys):
 def test_unwritable_out_exits_3(tmp_path, capsys):
     assert main(["wenum", "--n", "24", "--out", str(tmp_path / "nope" / "x.txt")]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--family", "24m+8", "--t", "152"],
+    ["gate", "--family", "24m", "--m", "8", "--t", "7"],
+    ["theorem", "thm2"],
+    ["wenum", "--n", "48"],
+], ids=lambda argv: argv[0])
+def test_out_in_missing_directory_exits_3_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(args):
+        raise AssertionError(f"{args.command} ran although --out cannot be written")
+
+    monkeypatch.setitem(cli._HANDLERS, argv[0], no_work)
+    assert main(argv + ["--out", "missing/x"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "i/o error: [Errno 2] No such file or directory: 'missing/x'\n"
+    assert not (tmp_path / "store").exists()
 
 
 def test_wenum(capsys):

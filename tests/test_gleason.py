@@ -7,15 +7,21 @@ import pytest
 
 from designgate import gleason
 from designgate.combinat import binom
-from designgate.families import M_MAXES
+from designgate.families import M_MAXES, CodeFamily, block_count
 from designgate.gleason import (
     LENGTH_CAP,
+    _burmann_coefficient,
     _extremal_prefix,
     extremal_weight_enumerator,
     min_weight_count,
     next_weight_count,
 )
-from gleason_oracle import GLEASON_G2, gleason_basis, solve_basis_combination
+from gleason_oracle import (
+    GLEASON_G2,
+    gleason_basis,
+    next_weight_count_by_loop,
+    solve_basis_combination,
+)
 
 KNOWN_MIN_COUNTS = {8: 14, 16: 28, 24: 759, 32: 620, 40: 285, 48: 17296}
 
@@ -135,6 +141,26 @@ def test_next_weight_count_matches_series(r):
         n = 24 * m + 8 * r
         nz = n // 24
         assert next_weight_count(n) == _extremal_prefix(n, nz + 2)[nz + 2], n
+
+
+def test_next_weight_count_closed_sum_matches_the_full_buermann_loop():
+    lengths = range(8, LENGTH_CAP + 1, 8)
+    assert [next_weight_count(n) for n in lengths] == [
+        next_weight_count_by_loop(n) for n in lengths]
+
+
+@pytest.mark.parametrize("r", range(3))
+def test_first_buermann_coefficient_is_minus_the_block_count(r):
+    # A_k = -c_{m+1}: the closed sum against the Mallows-Sloane closed forms
+    for m in range(1 if r == 0 else 0, M_MAXES[r] + 1):
+        f = CodeFamily(m, r)
+        assert -_burmann_coefficient(f.n // 8, m + 1) == block_count(f), f
+
+
+def test_closed_buermann_sum_refuses_a_coefficient_it_does_not_cover():
+    # j = 1 at length 192 gives e = 3j - a - 1 < 0, where PHI^e is a series
+    with pytest.raises(ValueError, match="3j > a"):
+        _burmann_coefficient(24, 1)
 
 
 def test_next_weight_count_positive_in_range():

@@ -16,6 +16,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 SUBMODULES = ("cli", "combinat", "families", "gate", "gleason", "report", "store", "theorems")
 
 HEAVY = {"dataclasses", "inspect"}
+# What ``fractions`` loads; only a non-integral value needs it.
+RATIONALS = {"fractions", "decimal", "numbers"}
 CALLS = {
     "lambda": ["lambda", "--family", "24m", "--m", "8", "--t", "7"],
     "scan": ["scan", "--family", "24m+8", "--t", "5", "--m-max", "20"],
@@ -25,8 +27,9 @@ CALLS = {
 }
 
 
-def loaded_after(code: str, tmp_path) -> set[str]:
-    """Names in sys.modules after running ``code`` in a fresh interpreter."""
+def run_fresh(code: str, tmp_path) -> tuple[str, set[str]]:
+    """The stdout of ``code`` run in a fresh interpreter, and the names in
+    sys.modules after it."""
     code += "\nimport sys\nsys.stderr.write('\\n'.join(sys.modules))\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])),
@@ -34,15 +37,45 @@ def loaded_after(code: str, tmp_path) -> set[str]:
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+    return proc.stdout, set(proc.stderr.split())
+
+
+def loaded_after(code: str, tmp_path) -> set[str]:
+    """Names in sys.modules after running ``code`` in a fresh interpreter."""
+    return run_fresh(code, tmp_path)[1]
 
 
 def test_cli_import_loads_no_driver_gate_or_store(tmp_path):
     loaded = loaded_after("import designgate.cli", tmp_path)
     assert {"designgate.cli", "designgate.families", "designgate.report"} <= loaded
     unwanted = {"designgate.theorems", "designgate.gate", "designgate.gleason",
-                "designgate.store", "designgate.reference_sets", "csv", "datetime"} | HEAVY
-    assert not loaded & unwanted
+                "designgate.store", "designgate.reference_sets", "csv", "datetime"}
+    assert not loaded & (unwanted | HEAVY | RATIONALS)
+
+
+INTEGRAL_CALLS = {
+    "lambda": CALLS["lambda"],
+    "wenum": CALLS["wenum"],
+    "scan": ["scan", "--family", "24m", "--t", "6", "--m-min", "15", "--m-max", "15"],
+    "gate": ["gate", "--family", "24m", "--m", "63", "--t", "8"],  # PASS
+}
+
+
+@pytest.mark.parametrize("command", INTEGRAL_CALLS)
+def test_integral_calls_load_no_fractions(command, tmp_path):
+    # Every value these calls print is an integer, so nothing builds a
+    # Fraction; the gate runs against a fresh store.
+    loaded = loaded_after("from designgate.cli import main\n"
+                          f"assert main({INTEGRAL_CALLS[command]!r}) == 0", tmp_path)
+    assert not loaded & RATIONALS
+
+
+def test_nonintegral_lambda_still_prints_its_fraction(tmp_path):
+    out, loaded = run_fresh("from designgate.cli import main\n"
+                            "assert main(['lambda', '--family', '24m', '--m', '1', '--t', '8']) == 0",
+                            tmp_path)
+    assert "lambda_8 = 1/969  NON-INTEGRAL" in out.splitlines()
+    assert "fractions" in loaded
 
 
 def test_lambda_call_loads_no_gate_enumerator_or_driver(tmp_path):

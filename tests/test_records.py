@@ -2,8 +2,12 @@
 survive copy and pickle."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +63,41 @@ def test_frozen_fields_cannot_be_assigned(value):
 def test_frozen_values_survive_copy_and_pickle(value):
     assert copy.copy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_pass_quotient_is_an_int_equal_to_its_fraction():
+    res = GateResult.build(0, 63, 8, 256, 7 * 10321920, 10321920)
+    assert type(res.quotient) is int and res.quotient == 7
+    assert res.integral and res.verdict == "PASS"
+    as_fraction = GateResult(family=0, m=63, t=8, u=256, F=7 * 10321920,
+                             quotient=Fraction(7, 1), integral=True, verdict="PASS")
+    assert res == as_fraction and hash(res) == hash(as_fraction)
+    assert str(res.quotient) == str(as_fraction.quotient) == "7"
+
+
+def test_int_quotient_contradicting_its_flags_is_refused():
+    with pytest.raises(ValueError, match="contradicts quotient"):
+        GateResult(family=0, m=8, t=7, u=36, F=5, quotient=5, integral=False,
+                   verdict="FAIL_NONINTEGER")
+    with pytest.raises(ValueError, match="contradicts integral"):
+        GateResult(family=0, m=8, t=7, u=36, F=5, quotient=5, integral=True,
+                   verdict="FAIL_NONINTEGER")
+
+
+def test_int_quotient_contradicting_its_flags_is_refused_under_python_O():
+    code = (
+        "from designgate.gate import GateResult\n"
+        "assert False, 'assertions are on'\n"
+        "try:\n"
+        "    GateResult(family=0, m=8, t=7, u=36, F=5, quotient=5, integral=False,\n"
+        "               verdict='FAIL_NONINTEGER')\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected"]

@@ -64,4 +64,17 @@ def test_pass_verdict_roundtrip(tmp_path):
     assert res.integral and res.quotient.denominator == 1
     rec = result_to_record(res)
     assert rec["verdict"] == "PASS"
+    assert rec["quotient"].endswith("/1")
     assert Fraction(*map(int, rec["quotient"].split("/"))) == res.quotient
+
+
+def test_int_quotient_roundtrip(tmp_path):
+    # An integral quotient is an int both when computed and when read back
+    # from its "p/1" record.
+    store = ResultStore(tmp_path / "s")
+    res = integrality_gate(CodeFamily(63, 0), 8, store=store)
+    assert type(res.quotient) is int
+    back = ResultStore(tmp_path / "s").get(0, 63, 8, 256)
+    assert back == res and hash(back) == hash(res)
+    assert type(back.quotient) is int
+    assert record_to_result(result_to_record(res)) == res
