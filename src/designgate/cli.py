@@ -22,7 +22,7 @@ from .families import (
     apply_strengthening,
     lambda_levels,
     nonintegral_levels,
-    scan_levels,
+    scan_members,
     scan_range,
 )
 from .report import FORMATS, Report, gate_row, lambda_row, render, set_row, timestamp_now
@@ -114,13 +114,10 @@ def _cmd_scan(args) -> int:
                                        "m_range": [m_range[0], m_range[-1]]},
                     generated_at=None if args.no_timestamp else timestamp_now())
     ms, short = [], []
-    for m in m_range:
-        f = CodeFamily(m, r)
-        if apply_strengthening(f, args.t) > f.k:
+    for m, values in scan_members(r, args.t, args.m_min, args.m_max):
+        if values is None:
             short.append(m)
             continue
-        levels = scan_levels(f, args.t)
-        values = list(zip(levels, lambda_levels(f, levels)))
         report.rows += [lambda_row(m, i, v) for i, v in values]
         if not nonintegral_levels(values):
             ms.append(m)

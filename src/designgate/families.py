@@ -187,12 +187,6 @@ def check_lambda_levels(f: CodeFamily, levels) -> list[tuple[int, Fraction]]:
     return nonintegral_levels(zip(levels, lambda_levels(f, levels)))
 
 
-def scan_levels(f: CodeFamily, t: int) -> range:
-    """The lambda levels a strength-t scan must check: everything above the
-    base strength up to the effective (strengthened) strength."""
-    return range(f.am_strength + 1, apply_strengthening(f, t) + 1)
-
-
 def scan_range(r: int, m_lo: int | None = None, m_hi: int | None = None) -> range:
     """The m range [m_lo, m_hi] of a scan over family r, defaulting to the
     family's full range [1, m_max]; ValueError if it is empty or outside."""
@@ -206,6 +200,18 @@ def scan_range(r: int, m_lo: int | None = None, m_hi: int | None = None) -> rang
     return range(m_lo, m_hi + 1)
 
 
+def scan_members(r: int, t: int, m_lo: int | None = None, m_hi: int | None = None):
+    """Yield (m, [(level, lambda), ...]) for each m of ``scan_range``, with
+    the levels a strength-t hypothesis adds to the base strength, up to the
+    effective (strengthened) strength; the list is None for a member whose
+    block size k is below that strength."""
+    for m in scan_range(r, m_lo, m_hi):
+        f = CodeFamily(m, r)
+        t_eff = apply_strengthening(f, t)
+        levels = range(f.am_strength + 1, t_eff + 1)
+        yield m, None if t_eff > f.k else list(zip(levels, lambda_levels(f, levels)))
+
+
 def admissible_scan(r: int, t: int, m_lo: int | None = None,
                     m_hi: int | None = None) -> list[int]:
     """All m in [m_lo, m_hi] for which every lambda level required by a
@@ -214,6 +220,5 @@ def admissible_scan(r: int, t: int, m_lo: int | None = None,
 
     Defaults to the family's full range [1, m_max].
     """
-    members = (CodeFamily(m, r) for m in scan_range(r, m_lo, m_hi))
-    return [f.m for f in members if apply_strengthening(f, t) <= f.k
-            and not check_lambda_levels(f, scan_levels(f, t))]
+    return [m for m, values in scan_members(r, t, m_lo, m_hi)
+            if values is not None and not nonintegral_levels(values)]

@@ -106,7 +106,7 @@ def moment_vector(u: int, lambdas: list[int | Fraction]) -> MomentVector:
     for s, lam in enumerate(lambdas):
         vals.append(u_s * lam)
         u_s *= u - s
-    bad = [(s, v) for s, v in enumerate(vals) if v.denominator != 1 or v < 0]
+    bad = nonintegral_levels(enumerate(vals))
     if bad:
         raise NonIntegralMomentError(bad)
     return MomentVector(u, tuple(int(v) for v in vals))
@@ -168,25 +168,20 @@ def residual_coefficient(i: int, l: int) -> int:
 
 class GateResult(Record):
     """Outcome of one integrality test; the quotient is a Fraction only if
-    it is non-integral."""
+    it is non-integral, and the verdict follows from it."""
 
-    __slots__ = ("family", "m", "t", "u", "F", "quotient", "integral", "verdict")
+    __slots__ = ("family", "m", "t", "u", "F", "quotient")
 
-    def __init__(self, family: int, m: int, t: int, u: int, F: int, quotient: int | Fraction,
-                 integral: bool, verdict: str):
-        super().__init__(family, m, t, u, F, quotient, integral, verdict)
-        if self.integral != (self.quotient.denominator == 1):
-            raise ValueError(f"integral={self.integral} contradicts quotient {self.quotient}")
-        if self.verdict != (PASS if self.integral else FAIL_NONINTEGER):
-            raise ValueError(f"verdict {self.verdict!r} contradicts integral={self.integral}")
+    def __init__(self, family: int, m: int, t: int, u: int, F: int, quotient: int | Fraction):
+        super().__init__(family, m, t, u, F, quotient)
 
-    @staticmethod
-    def build(family: int, m: int, t: int, u: int, F: int, divisor: int) -> "GateResult":
-        q = exact_quotient(F, divisor)
-        integral = q.denominator == 1
-        return GateResult(family=family, m=m, t=t, u=u, F=F, quotient=q,
-                          integral=integral,
-                          verdict=PASS if integral else FAIL_NONINTEGER)
+    @property
+    def integral(self) -> bool:
+        return self.quotient.denominator == 1
+
+    @property
+    def verdict(self) -> str:
+        return PASS if self.integral else FAIL_NONINTEGER
 
 
 def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) -> GateResult:
@@ -219,7 +214,7 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) ->
         raise NonIntegralLambdaError(f, bad)
     moments = moment_vector(u, lambdas)
     F = offset_product_sum(OffsetSet.default(t), moments)
-    result = GateResult.build(f.r, f.m, t, u, F, annihilator_divisor(t))
+    result = GateResult(f.r, f.m, t, u, F, exact_quotient(F, annihilator_divisor(t)))
     if store is not None:
         store.put(result)
     return result

@@ -3,7 +3,8 @@
 One line-delimited JSON record per gate, keyed by the four integers
 (family, m, t, u).  All numbers are exact decimal strings (the quotient as
 "p/q"); records are append-only and deduplicated on read (a key always maps
-to the same value, so last-wins is safe).  The store directory comes from
+to the same value, so last-wins is safe); a record whose verdict contradicts
+its quotient is refused with ValueError.  The store directory comes from
 the DESIGNGATE_STORE environment variable, defaulting to ./designgate_store.
 """
 
@@ -37,16 +38,11 @@ def result_to_record(res: GateResult) -> dict:
 
 def record_to_result(rec: dict) -> GateResult:
     p, q = rec["quotient"].split("/")
-    return GateResult(
-        family=int(rec["family"]),
-        m=int(rec["m"]),
-        t=int(rec["t"]),
-        u=int(rec["u"]),
-        F=int(rec["F"]),
-        quotient=exact_quotient(int(p), int(q)),
-        integral=rec["verdict"] == "PASS",
-        verdict=rec["verdict"],
-    )
+    res = GateResult(int(rec["family"]), int(rec["m"]), int(rec["t"]), int(rec["u"]),
+                     int(rec["F"]), exact_quotient(int(p), int(q)))
+    if rec["verdict"] != res.verdict:
+        raise ValueError(f"verdict {rec['verdict']!r} contradicts quotient {res.quotient}")
+    return res
 
 
 class ResultStore:

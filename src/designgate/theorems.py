@@ -12,55 +12,33 @@ the reference data in :mod:`designgate.reference_sets`:
     thm5.2   family 24m+16: staged ladder, strengths 3 to 6
 
 All three families run one kind of staged ladder, which alternates
-lambda-integrality filters with default-offset integrality gates.  Gates at
-a stage run at u = k and then at u = k + 4; the first non-integral quotient
-eliminates the candidate.  A member whose extremal enumerator has no
-codewords of weight k + 4 would make that second gate vacuous, and raises
-ValueError instead.  The 24m drivers are views over one run of the 24m
-ladder, filtered by stage and by u.  Stage 6 of the 24m+8 ladder carries
-lambda conditions only, matching the reference classification (which does
-not sharpen there); its offset-length-6 gates run as part of stage 7, where
+lambda-integrality filters with default-offset integrality gates.  A rung
+names its strength t and the offset lengths it gates; its lambda levels are
+those above the previous rung's strength.  Gates at a rung run at u = k and
+then at u = k + 4; the first non-integral quotient eliminates the
+candidate.  A member whose extremal enumerator has no codewords of
+weight k + 4 would make that second gate vacuous, and raises ValueError
+instead.  The 24m drivers are views over one run of the 24m ladder,
+filtered by stage and by u.  Stage 6 of the 24m+8 ladder carries lambda
+conditions only, matching the reference classification (which does not
+sharpen there); its offset-length-6 gates run as part of stage 7, where
 they remain valid since a 7-design is in particular a 6-design.
 """
 
 from __future__ import annotations
 
 from . import reference_sets as ref
-from ._record import Record
-from .families import CodeFamily, M_MAXES, THEOREM_IDS, check_lambda_levels
+from .families import AM_STRENGTHS, CodeFamily, M_MAXES, THEOREM_IDS, check_lambda_levels
 from .gate import GateResult, integrality_gate
 from .gleason import next_weight_count
 from .report import Report, gate_row, set_row, timestamp_now
 
-
-class Stage(Record):
-    """One rung of a staged ladder: the effective strength, the lambda
-    levels newly required, and the offset lengths gated at this strength."""
-
-    __slots__ = ("t", "lambda_levels", "gate_ls")
-
-    def __init__(self, t: int, lambda_levels: tuple[int, ...], gate_ls: tuple[int, ...]):
-        super().__init__(t, lambda_levels, gate_ls)
-
-
-STAGES_24M = (
-    Stage(t=7, lambda_levels=(6, 7), gate_ls=(7,)),
-    Stage(t=8, lambda_levels=(8,), gate_ls=(8,)),
-)
-
-STAGES_24M8 = (
-    Stage(t=5, lambda_levels=(4, 5), gate_ls=(5,)),
-    Stage(t=6, lambda_levels=(6,), gate_ls=()),
-    Stage(t=7, lambda_levels=(7,), gate_ls=(6, 7)),
-    Stage(t=8, lambda_levels=(8,), gate_ls=()),
-)
-
-STAGES_24M16 = (
-    Stage(t=3, lambda_levels=(2, 3), gate_ls=(3,)),
-    Stage(t=4, lambda_levels=(4,), gate_ls=(4,)),
-    Stage(t=5, lambda_levels=(5,), gate_ls=(5,)),
-    Stage(t=6, lambda_levels=(6,), gate_ls=()),
-)
+# A rung is (t, the offset lengths gated at strength t).  Its lambda levels
+# are those above the previous rung's strength, or above the family's base
+# strength for the first rung.
+STAGES_24M = ((7, (7,)), (8, (8,)))
+STAGES_24M8 = ((5, (5,)), (6, ()), (7, (6, 7)), (8, ()))
+STAGES_24M16 = ((3, (3,)), (4, (4,)), (5, (5,)), (6, ()))
 
 
 class TheoremOutcome:
@@ -100,37 +78,37 @@ def _gates_pass(f: CodeFamily, gate_ls: tuple[int, ...], gates: list[GateResult]
 
 def _run_ladder(r: int, stages, upto_t: int | None = None) -> list[tuple]:
     """Run family r's ladder over m in [1, m_max], stopping after strength
-    ``upto_t`` when given.  Returns, per stage run, the tuple (stage, the
-    candidates passing its lambda filter, its gate results in execution
+    ``upto_t`` when given.  Returns, per rung run, the tuple (its strength,
+    the candidates passing its lambda filter, its gate results in execution
     order, its survivors)."""
     candidates = list(range(1, M_MAXES[r] + 1))
-    runs = []
-    for stage in stages:
-        if upto_t is not None and stage.t > upto_t:
+    runs, done = [], AM_STRENGTHS[r]
+    for t, gate_ls in stages:
+        if upto_t is not None and t > upto_t:
             break
         passed, gates, survivors = [], [], []
         for m in candidates:
             f = CodeFamily(m, r)
-            if check_lambda_levels(f, stage.lambda_levels):
+            if check_lambda_levels(f, range(done + 1, t + 1)):
                 continue
             passed.append(m)
-            if stage.gate_ls and next_weight_count(f.n) <= 0:
+            if gate_ls and next_weight_count(f.n) <= 0:
                 raise ValueError(f"vacuous u = k + 4 gate at m = {m} of family {f.label}: "
                                  "no codewords there")
-            if _gates_pass(f, stage.gate_ls, gates):
+            if _gates_pass(f, gate_ls, gates):
                 survivors.append(m)
-        runs.append((stage, passed, gates, survivors))
-        candidates = survivors
+        runs.append((t, passed, gates, survivors))
+        candidates, done = survivors, t
     return runs
 
 
 def _report_staged(theorem_id: str, runs: list[tuple], reference: dict,
                    report: Report) -> tuple[list[int], list[str]]:
     mismatches: list[str] = []
-    for stage, _, gates, survivors in runs:
-        report.rows += [gate_row(res, stage=stage.t) for res in gates]
-        report.rows.append(set_row(f"t={stage.t} survivors", survivors, stage=stage.t))
-        mismatches += _diff(f"{theorem_id} stage t={stage.t}", survivors, reference[stage.t])
+    for t, _, gates, survivors in runs:
+        report.rows += [gate_row(res, stage=t) for res in gates]
+        report.rows.append(set_row(f"t={t} survivors", survivors, stage=t))
+        mismatches += _diff(f"{theorem_id} stage t={t}", survivors, reference[t])
     return survivors, mismatches
 
 
@@ -193,8 +171,8 @@ def run_theorem(theorem_id: str, timestamp: bool = True,
     if upto_t is not None:
         if r == 0:
             raise ValueError("--t staging only applies to thm5.1 / thm5.2")
-        if upto_t < stages[0].t:
-            raise ValueError(f"{theorem_id} starts at strength {stages[0].t}; "
+        if upto_t < stages[0][0]:
+            raise ValueError(f"{theorem_id} starts at strength {stages[0][0]}; "
                              f"--t {upto_t} is below it")
     runs = _run_ladder(r, stages, upto_t)
     report = Report(id=theorem_id, inputs={"family": CodeFamily(1, r).label,

@@ -252,29 +252,27 @@ def test_oracle_200_random_vectors():
         assert offset_product_sum(offsets, moments) == direct
 
 
-def test_tampered_gate_result_rejected_under_python_O():
-    # GateResult's invariants are explicit raises, so they hold with
-    # assertions compiled out.
+def test_tampered_gate_result_rejected_under_python_O(forged_store):
+    # A verdict cannot be assigned, and one forged in the store is refused,
+    # with assertions compiled out.
     code = (
+        "import sys\n"
+        "from designgate.cli import main\n"
         "from designgate.families import CodeFamily\n"
-        "from designgate.gate import GateResult, integrality_gate\n"
+        "from designgate.gate import integrality_gate\n"
         "assert False, 'assertions are on'\n"
         "res = integrality_gate(CodeFamily(8, 0), 7)\n"
-        "print(res.verdict)\n"
-        "try:\n"
-        "    GateResult(res.family, res.m, res.t, res.u, res.F, res.quotient,\n"
-        "               res.integral, verdict='PASS')\n"
-        "except ValueError:\n"
-        "    print('rejected')\n"
         "try:\n"
         "    res.verdict = 'PASS'\n"
         "except AttributeError:\n"
-        "    print('frozen')\n"
+        "    print(res.verdict, 'frozen')\n"
+        "sys.exit(main(['gate', '--family', '24m', '--m', '8', '--t', '7']))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, DESIGNGATE_STORE=str(forged_store), PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [FAIL_NONINTEGER, "rejected", "frozen"]
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.split() == [FAIL_NONINTEGER, "frozen"]
+    assert "verdict 'PASS' contradicts quotient 1569595833/8" in proc.stderr

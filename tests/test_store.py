@@ -1,13 +1,14 @@
 import json
 from fractions import Fraction
 
+from designgate.cli import main
 from designgate.families import CodeFamily
 from designgate.gate import GateResult, integrality_gate
 from designgate.store import ENV_VAR, ResultStore, record_to_result, result_to_record
 
 
 def test_record_roundtrip():
-    res = GateResult.build(0, 8, 7, 36, 126572207973120, 645120 * 128)
+    res = GateResult(0, 8, 7, 36, 126572207973120, Fraction(126572207973120, 645120 * 128))
     rec = result_to_record(res)
     assert rec["quotient"].count("/") == 1
     assert record_to_result(rec) == res
@@ -34,7 +35,7 @@ def test_store_roundtrip(tmp_path):
 def test_store_is_consulted_before_computing(tmp_path):
     store = ResultStore(tmp_path / "s")
     first = integrality_gate(CodeFamily(8, 0), 7, store=store)
-    fake = GateResult.build(0, 8, 7, 9999, first.F, 645120)
+    fake = GateResult(0, 8, 7, 9999, first.F, Fraction(first.F, 645120))
     store._cache[(0, 8, 7, 36)] = fake
     assert integrality_gate(CodeFamily(8, 0), 7, store=store) == fake
 
@@ -78,3 +79,11 @@ def test_int_quotient_roundtrip(tmp_path):
     assert back == res and hash(back) == hash(res)
     assert type(back.quotient) is int
     assert record_to_result(result_to_record(res)) == res
+
+
+def test_forged_verdict_exits_2_before_any_output(forged_store, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_VAR, str(forged_store))
+    assert main(["gate", "--family", "24m", "--m", "8", "--t", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "verdict 'PASS' contradicts quotient 1569595833/8" in err

@@ -1,5 +1,7 @@
 import hashlib
+import json
 
+import checker
 import pytest
 
 from designgate import reference_sets as ref
@@ -157,6 +159,24 @@ def test_driver_output_matches_golden_digests(theorem_id, upto_t):
     digests = {fmt: hashlib.sha256(render(report, fmt).encode()).hexdigest()
                for fmt in GOLDEN[theorem_id, upto_t]}
     assert digests == GOLDEN[theorem_id, upto_t]
+
+
+@pytest.fixture(scope="module")
+def checker_reports():
+    return checker.theorem_reports(ref)
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_driver_report_matches_the_independent_checker(checker_reports, theorem_id):
+    # The checker spells out each rung's lambda levels and shares no code
+    # with designgate, so it also guards the rungs' derived levels.
+    outcome = run_theorem(theorem_id, timestamp=False)
+    expected, mismatches = checker_reports[theorem_id]
+    assert json.loads(render(outcome.report, "json")) == expected
+    assert len(outcome.mismatches) == mismatches
+    for fmt in ("csv", "table"):
+        got = checker.parse_report(render(outcome.report, fmt), fmt)
+        assert got == checker.project(expected, fmt), fmt
 
 
 @pytest.mark.parametrize("theorem_id,r,t", [("thm1", 0, 6), ("thm5.2", 2, 3)])
