@@ -24,7 +24,9 @@ annihilated, so for a self-orthogonal design (all odd n_i vanish)
 
 The right side is a nonnegative integer for any real design, so a
 non-integral quotient certifies that no design with these parameters
-exists.  That quotient test is :func:`integrality_gate`.
+exists.  That quotient test is :func:`integrality_gate`.  It evaluates
+F(u) = sum_h d_h (u)_h, d_h = c_h lambda_h, by Horner's rule on the d_h,
+memoised per (family, m, l); the moment route above is its test oracle.
 """
 
 from __future__ import annotations
@@ -184,15 +186,30 @@ class GateResult(Record):
         return PASS if self.integral else FAIL_NONINTEGER
 
 
+@lru_cache(maxsize=None)
+def _gate_polynomial(r: int, m: int, t: int) -> tuple[tuple[int, ...], int]:
+    """(d_0..d_t, 2^t t!) with F(u) = sum_h d_h (u)_h, d_h = c_h lambda_h, for
+    gate (r, m, t); NonIntegralLambdaError (not memoised) on a bad lambda."""
+    f = CodeFamily(m, r)
+    lambdas = lambda_levels(f, range(t + 1))
+    bad = nonintegral_levels(enumerate(lambdas))
+    if bad:
+        raise NonIntegralLambdaError(f, bad)
+    cs = _coefficients_cached(OffsetSet.default(t).xs)
+    return tuple(c * lam for c, lam in zip(cs, lambdas)), annihilator_divisor(t)
+
+
 def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) -> GateResult:
     """Run the default-offset integrality test of strength t at reference
-    weight u (u = k if omitted) on family member f.
+    weight u (u = k if omitted) on family member f: F(u) by Horner's rule
+    on the d_h memoised per (family, m, t).
 
     A FAIL_NONINTEGER verdict certifies that the minimum-weight support
     design of f cannot be a t-design: the count at the first unconstrained
     even intersection level would be non-integral.  Non-integral lambda
     levels raise NonIntegralLambdaError before any gate arithmetic (the
-    hypothesis already fails one layer down).
+    hypothesis already fails one layer down).  A store record is checked,
+    never trusted: one that differs from the result raises ValueError.
     """
     if u is None:
         u = f.k
@@ -204,18 +221,16 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) ->
         raise ValueError(
             f"u must be a weight multiple of 4 with {f.k} <= u <= {f.n - f.k}, got {u}"
         )
-    if store is not None:
-        cached = store.get(f.r, f.m, t, u)
-        if cached is not None:
-            return cached
-    lambdas = lambda_levels(f, range(t + 1))
-    bad = nonintegral_levels(enumerate(lambdas))
-    if bad:
-        raise NonIntegralLambdaError(f, bad)
-    moments = moment_vector(u, lambdas)
-    F = offset_product_sum(OffsetSet.default(t), moments)
-    result = GateResult(f.r, f.m, t, u, F, exact_quotient(F, annihilator_divisor(t)))
-    if store is not None:
+    stored = None if store is None else store.get(f.r, f.m, t, u)
+    d, divisor = _gate_polynomial(f.r, f.m, t)
+    F = d[t]
+    for h in range(t - 1, -1, -1):
+        F = d[h] + (u - h) * F
+    result = GateResult(f.r, f.m, t, u, F, exact_quotient(F, divisor))
+    if stored is not None and stored != result:
+        raise ValueError(f"stored gate F = {stored.F}, quotient {stored.quotient} differs "
+                         f"from the computed F = {F}, quotient {result.quotient}")
+    if store is not None and stored is None:
         store.put(result)
     return result
 

@@ -46,24 +46,6 @@ def _phi_power(a: int, trunc: int) -> list[int]:
     return _phi_power_prefix(a, trunc + 1)
 
 
-def _basis_tail(a: int, j: int, terms: int) -> list[int]:
-    """The first ``terms`` coefficients of Q = PHI^(a-3j) * (1 - z)^(4j), so
-    that z^j * Q is basis element j of length 8a over x^(8a).  From the
-    recurrence (1 - z) PHI Q' = (-4j PHI + (a - 3j)(1 - z) PHI') Q, where
-    (1 - z) PHI = 1 + 13z - 13z^2 - z^3; every division is checked."""
-    e = a - 3 * j
-    r0, r1, r2 = 14 * e - 4 * j, -12 * e - 56 * j, -2 * e - 4 * j
-    q = [1] + [0] * (terms - 1)
-    for k in range(1, terms):
-        acc = (r0 - 13 * (k - 1)) * q[k - 1]
-        if k > 1:
-            acc += (r1 + 13 * (k - 2)) * q[k - 2]
-        if k > 2:
-            acc += (r2 + k - 3) * q[k - 3]
-        q[k] = _exact_div(acc, k)
-    return q
-
-
 def _validate_length(n: int) -> None:
     if n % 8 != 0 or n < 8:
         raise ValueError(f"length must be a positive multiple of 8, got {n}")
@@ -75,7 +57,9 @@ def _extremal_prefix(n: int, trunc: int) -> list[int]:
     """Coefficients [A_0, A_4, A_8, ...] of the extremal enumerator of
     length n, up to weight 4*trunc.  The unit-triangular elimination: start
     from basis element 0 (coefficient forced to 1 by A_0 = 1) and cancel
-    each A_{4j} in turn with basis element j."""
+    each A_{4j} in turn with basis element j, z^j Q for Q = PHI^e (1 - z)^(4j),
+    e = a - 3j, added in the same pass that makes it, scaled by -A_{4j}, from
+    (1 - z) PHI Q' = (-4j PHI + e (1 - z) PHI') Q, (1 - z) PHI = 1 + 13z - 13z^2 - z^3."""
     _validate_length(n)
     a = n // 8
     nz = n // 24  # number of forced-zero low coefficients; min weight 4*nz + 4
@@ -83,9 +67,14 @@ def _extremal_prefix(n: int, trunc: int) -> list[int]:
     for j in range(1, min(nz, trunc) + 1):
         c = -w[j]
         if c:
-            tail = _basis_tail(a, j, trunc - j + 1)
-            for i in range(j, trunc + 1):
-                w[i] += c * tail[i - j]
+            e = a - 3 * j
+            m1, m2, m3 = 14 * e - 4 * j, -12 * e - 56 * j - 13, -2 * e - 4 * j - 2  # at k = 1
+            q1, q2, q3 = c, 0, 0  # c q_(k-1), c q_(k-2), c q_(k-3), times m1, m2, m3
+            w[j] = 0
+            for k in range(1, trunc - j + 1):
+                q1, q2, q3 = _exact_div(m1 * q1 + m2 * q2 + m3 * q3, k), q1, q2
+                w[j + k] += q1
+                m1, m2, m3 = m1 - 13, m2 + 13, m3 + 1
     return w
 
 

@@ -3,9 +3,9 @@
 One line-delimited JSON record per gate, keyed by the four integers
 (family, m, t, u).  All numbers are exact decimal strings (the quotient as
 "p/q"); records are append-only and deduplicated on read (a key always maps
-to the same value, so last-wins is safe); a record whose verdict contradicts
-its quotient is refused with ValueError.  The store directory comes from
-the DESIGNGATE_STORE environment variable, defaulting to ./designgate_store.
+to the same value, so last-wins is safe); a malformed record, or one whose
+verdict contradicts its quotient, is refused with ValueError.  The store
+directory comes from DESIGNGATE_STORE, defaulting to ./designgate_store.
 """
 
 from __future__ import annotations
@@ -37,11 +37,14 @@ def result_to_record(res: GateResult) -> dict:
 
 
 def record_to_result(rec: dict) -> GateResult:
-    p, q = rec["quotient"].split("/")
-    res = GateResult(int(rec["family"]), int(rec["m"]), int(rec["t"]), int(rec["u"]),
-                     int(rec["F"]), exact_quotient(int(p), int(q)))
-    if rec["verdict"] != res.verdict:
-        raise ValueError(f"verdict {rec['verdict']!r} contradicts quotient {res.quotient}")
+    try:
+        p, q = rec["quotient"].split("/")
+        res = GateResult(int(rec["family"]), int(rec["m"]), int(rec["t"]), int(rec["u"]),
+                         int(rec["F"]), exact_quotient(int(p), int(q)))
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed store record {rec!r}: {exc!r}") from None
+    if rec.get("verdict") != res.verdict:
+        raise ValueError(f"verdict {rec.get('verdict')!r} contradicts quotient {res.quotient}")
     return res
 
 

@@ -1,7 +1,9 @@
 """Test oracle for :mod:`designgate.gleason`: the Gleason basis as explicit
 homogeneous polynomials in x and y, and the extremal combination solved
 against them over the rationals.  The library works on coefficient series
-instead; the tests check that both routes agree.
+instead; the tests check that both routes agree.  Also the two-pass series
+elimination, which builds each unscaled basis element as a list before
+adding a multiple of it; the library does both in one pass.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from designgate.gleason import _validate_length
+from designgate.gleason import _exact_div, _phi_power, _validate_length
 
 
 @dataclass(frozen=True)
@@ -82,3 +84,36 @@ def solve_basis_combination(n: int) -> list[Fraction]:
         cs.append(acc / lead)
     return cs
 
+
+def basis_tail(a: int, j: int, terms: int) -> list[int]:
+    """The first ``terms`` coefficients of Q = PHI^(a-3j) * (1 - z)^(4j), so
+    that z^j * Q is basis element j of length 8a over x^(8a).  From the
+    recurrence (1 - z) PHI Q' = (-4j PHI + (a - 3j)(1 - z) PHI') Q, where
+    (1 - z) PHI = 1 + 13z - 13z^2 - z^3; every division is checked."""
+    e = a - 3 * j
+    r0, r1, r2 = 14 * e - 4 * j, -12 * e - 56 * j, -2 * e - 4 * j
+    q = [1] + [0] * (terms - 1)
+    for k in range(1, terms):
+        acc = (r0 - 13 * (k - 1)) * q[k - 1]
+        if k > 1:
+            acc += (r1 + 13 * (k - 2)) * q[k - 2]
+        if k > 2:
+            acc += (r2 + k - 3) * q[k - 3]
+        q[k] = _exact_div(acc, k)
+    return q
+
+
+def two_pass_prefix(n: int, trunc: int) -> list[int]:
+    """[A_0, A_4, ...] of the extremal enumerator of length n up to weight
+    4*trunc: cancel each A_{4j} in turn by adding -A_{4j} times the list
+    :func:`basis_tail` builds for basis element j."""
+    _validate_length(n)
+    a, nz = n // 8, n // 24
+    w = _phi_power(a, trunc)
+    for j in range(1, min(nz, trunc) + 1):
+        c = -w[j]
+        if c:
+            tail = basis_tail(a, j, trunc - j + 1)
+            for i in range(j, trunc + 1):
+                w[i] += c * tail[i - j]
+    return w

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -9,14 +10,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from designgate.combinat import binom, falling
+from designgate import gate
+from designgate.combinat import binom, exact_quotient, falling
 from designgate.families import (
+    T_CAP,
     CodeFamily,
     NonIntegralLambdaError,
     design_params,
     lambda_at,
     lambda_levels,
     lambda_vector,
+    nonintegral_levels,
 )
 from designgate.gate import (
     FAIL_NONINTEGER,
@@ -34,6 +38,10 @@ from designgate.gate import (
 from designgate.gleason import extremal_weight_enumerator
 
 GOLAY_LAMBDAS = [Fraction(x) for x in (759, 253, 77, 21, 5, 1)]
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Members (m, r) of each family, from the smallest to m_max.
+GATE_SPREAD = [(1, 0), (8, 0), (15, 0), (63, 0), (153, 0), (0, 1), (15, 1), (58, 1),
+               (158, 1), (0, 2), (10, 2), (23, 2), (163, 2)]
 
 
 def test_offset_set_validation():
@@ -172,8 +180,48 @@ def test_gate_matches_design_params_route_at_every_weight():
 
 
 def test_gate_computes_one_block_count(block_count_calls):
-    integrality_gate(CodeFamily(8, 0), 7)
-    assert block_count_calls == [CodeFamily(8, 0)]
+    # The lambda levels are memoised per (family, m, t), so two weights of
+    # one member cost one block count between them.
+    gate._gate_polynomial.cache_clear()
+    f = CodeFamily(8, 0)
+    integrality_gate(f, 7, f.k)
+    integrality_gate(f, 7, f.k + 4)
+    assert block_count_calls == [f]
+
+
+def test_gate_polynomial_matches_the_moment_route():
+    # Horner's rule on the memoised d_h against A_h = (u)_h lambda_h and
+    # F = sum_h c_h A_h, at every weight u with A_u > 0 and every strength
+    # up to T_CAP; a strength with a non-integral level must raise instead.
+    checked = {}
+    for m, r in GATE_SPREAD:
+        f = CodeFamily(m, r)
+        enum = extremal_weight_enumerator(f.n)
+        weights = [u for u in range(f.k, f.n - f.k + 1, 4) if enum.coefficient(u) > 0]
+        for t in range(f.am_strength, min(T_CAP, f.k) + 1):
+            lambdas = lambda_levels(f, range(t + 1))
+            if nonintegral_levels(enumerate(lambdas)):
+                with pytest.raises(NonIntegralLambdaError):
+                    integrality_gate(f, t, f.k)
+                continue
+            for u in weights:
+                F = offset_product_sum(OffsetSet.default(t), moment_vector(u, lambdas))
+                want = exact_quotient(F, annihilator_divisor(t))
+                res = integrality_gate(f, t, u)
+                assert (res.F, res.quotient) == (F, want), (f, t, u)
+                assert type(res.quotient) is type(want)
+            checked[r] = checked.get(r, 0) + len(weights)
+    assert min(checked.values()) > 1000, checked
+
+
+def test_nonintegral_lambda_is_raised_again_on_a_repeated_call():
+    # A failure is not memoised: the second call raises the same levels.
+    levels = []
+    for _ in range(2):
+        with pytest.raises(NonIntegralLambdaError) as exc:
+            integrality_gate(CodeFamily(1, 0), 6)
+        levels.append(exc.value.levels)
+    assert levels[0] and levels[0] == levels[1]
 
 
 def test_lambda_levels_match_lambda_at():
@@ -276,3 +324,15 @@ def test_tampered_gate_result_rejected_under_python_O(forged_store):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout.split() == [FAIL_NONINTEGER, "frozen"]
     assert "verdict 'PASS' contradicts quotient 1569595833/8" in proc.stderr
+
+
+def test_deep_u_matches_the_independent_checker(capsys):
+    # perfbench's deep_u process gates every admissible weight of its 15
+    # candidates; perfbench/checker.py recomputes each quotient without
+    # designgate, by Newton differences.
+    import deep_u
+    import workloads
+
+    assert deep_u.main([json.dumps(workloads.DEEP_U_CANDIDATES)]) == 0
+    out, _ = capsys.readouterr()
+    assert workloads.deep_u(1, SRC).ops[0].check(out, "") is None

@@ -21,6 +21,7 @@ from gleason_oracle import (
     GLEASON_G2,
     gleason_basis,
     solve_basis_combination,
+    two_pass_prefix,
 )
 
 KNOWN_MIN_COUNTS = {8: 14, 16: 28, 24: 759, 32: 620, 40: 285, 48: 17296}
@@ -77,6 +78,14 @@ def test_mirrored_enumerator_matches_full_series(n):
     for i, a in enumerate(_extremal_prefix(n, n // 4)):
         full[4 * i] = a
     assert list(extremal_weight_enumerator(n).coefficients) == full
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 48, 568, 1512, LENGTH_CAP])
+def test_one_pass_elimination_matches_the_two_pass_oracle(n):
+    # n // 8 is what the enumerator solves, n // 4 the whole series, and
+    # n // 24 + 2 what min_weight_count reads.
+    for trunc in (n // 8, n // 4, n // 24 + 2):
+        assert _extremal_prefix(n, trunc) == two_pass_prefix(n, trunc), trunc
 
 
 def test_enumerator_sum_check_rejects_bad_series(monkeypatch):

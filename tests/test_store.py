@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from designgate.cli import main
 from designgate.families import CodeFamily
@@ -32,12 +38,76 @@ def test_store_roundtrip(tmp_path):
     assert len(again) == 1
 
 
-def test_store_is_consulted_before_computing(tmp_path):
+GATE_ARGV = ["gate", "--family", "24m", "--m", "8", "--t", "7"]
+# Edits to the honest (24m, m=8, t=7, u=36) record, whose quotient is
+# 1569595833/8, and the error each must give.
+FAULTS = {
+    "zero denominator": ({"quotient": "5/0"}, "malformed store record"),
+    "self-consistent forgery": ({"F": "5", "quotient": "5/1", "verdict": "PASS"},
+                                "differs from the computed"),
+}
+
+
+def _one_record_store(tmp_path, changes: dict) -> Path:
+    rec = result_to_record(integrality_gate(CodeFamily(8, 0), 7))
+    store = tmp_path / "faulty"
+    store.mkdir()
+    (store / "gates.jsonl").write_text(json.dumps(dict(rec, **changes)) + "\n")
+    return store
+
+
+def test_a_store_hit_is_checked_not_trusted(tmp_path):
     store = ResultStore(tmp_path / "s")
     first = integrality_gate(CodeFamily(8, 0), 7, store=store)
-    fake = GateResult(0, 8, 7, 9999, first.F, Fraction(first.F, 645120))
-    store._cache[(0, 8, 7, 36)] = fake
-    assert integrality_gate(CodeFamily(8, 0), 7, store=store) == fake
+    path = tmp_path / "s" / "gates.jsonl"
+    lines = path.read_text()
+    # An honest hit returns the same result and appends nothing.
+    again = ResultStore(tmp_path / "s")
+    assert integrality_gate(CodeFamily(8, 0), 7, store=again) == first
+    assert path.read_text() == lines and len(again) == 1
+    # A hit that differs from the computed result is refused.
+    store._cache[(0, 8, 7, 36)] = GateResult(0, 8, 7, 36, first.F + 8, first.quotient)
+    with pytest.raises(ValueError, match="differs from the computed"):
+        integrality_gate(CodeFamily(8, 0), 7, store=store)
+
+
+def test_malformed_records_raise_value_error():
+    good = result_to_record(integrality_gate(CodeFamily(8, 0), 7))
+    bad = [{k: v for k, v in good.items() if k != "quotient"},
+           {k: v for k, v in good.items() if k != "verdict"},
+           dict(good, F="12x"), dict(good, m=None), dict(good, quotient="5/0"),
+           dict(good, quotient="5"), dict(good, quotient=5), ["not", "a", "record"]]
+    for rec in bad:
+        with pytest.raises(ValueError):
+            record_to_result(rec)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_faulty_record_exits_2_before_any_output(fault, tmp_path, monkeypatch, capsys):
+    changes, message = FAULTS[fault]
+    monkeypatch.setenv(ENV_VAR, str(_one_record_store(tmp_path, changes)))
+    assert main(GATE_ARGV) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_faulty_record_exits_2_under_python_O(fault, tmp_path):
+    changes, message = FAULTS[fault]
+    code = ("import sys\n"
+            "from designgate.cli import main\n"
+            "assert False, 'assertions are on'\n"
+            f"sys.exit(main({GATE_ARGV!r}))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env[ENV_VAR] = str(_one_record_store(tmp_path, changes))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert message in proc.stderr
 
 
 def test_store_deduplicates(tmp_path):
