@@ -135,9 +135,8 @@ def _cmd_gate(args) -> int:
 
     f = CodeFamily(args.m, _FAMILY_INDEX[args.family])
     u = f.k if args.u is None else args.u
-    store = ResultStore.from_env()
     try:
-        res = integrality_gate(f, args.t, u, store=store)
+        res = integrality_gate(f, args.t, u)
     except NonIntegralLambdaError as exc:
         # The hypothesis already fails at the level counts: report each
         # failing level with its exact value, and m as eliminated there.
@@ -145,6 +144,13 @@ def _cmd_gate(args) -> int:
         rows.append(set_row("PRE-GATE FAIL", [args.m]))
         surviving = []
     else:
+        store = ResultStore.from_env()
+        stored = store.get(f.r, f.m, args.t, u)
+        if stored is None:
+            store.put(res)
+        elif stored != res:
+            raise ValueError(f"stored gate F = {stored.F}, quotient {stored.quotient} differs "
+                             f"from the computed F = {res.F}, quotient {res.quotient}")
         rows = [gate_row(res)]
         surviving = [args.m] if res.integral else []
     report = Report(id="gate", inputs={"family": args.family, "m": args.m, "t": args.t, "u": u},
@@ -168,10 +174,8 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_wenum(args) -> int:
-    from .gleason import LENGTH_CAP, extremal_weight_enumerator
+    from .gleason import extremal_weight_enumerator
 
-    if args.n % 8 or not 8 <= args.n <= LENGTH_CAP:
-        raise ValueError(f"n must be a multiple of 8 in [8, {LENGTH_CAP}], got {args.n}")
     enum = extremal_weight_enumerator(args.n)
     lines = [f"extremal weight enumerator, n = {args.n}"]
     for w, a in enumerate(enum.coefficients):

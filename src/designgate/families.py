@@ -8,15 +8,15 @@ indexed by r in {0, 1, 2}:
     r = 2:  [24m + 16, 12m + 8, 4m+4]   strength 1,               m <= 163
 
 The support design of the minimum weight has the code length as point count,
-4m + 4 as block size, and as many blocks as minimum-weight codewords.  Its
+4m + 4 as block size, and as many blocks b as minimum-weight codewords: b is
+a Lagrange-Buermann coefficient of the extremal enumerator (:func:`block_count`;
+:mod:`designgate.gleason` reads the next weight off the same expansion).  Its
 level-i block counts lambda_i = b * C(k, i) / C(v, i) are exact rationals;
 a hypothesis "this design is a t-design" forces lambda_i to be a nonnegative
 integer for every i <= t, which is what :func:`admissible_scan` checks.
 """
 
 from __future__ import annotations
-
-from math import factorial
 
 from ._record import Record
 from .combinat import binom, exact_quotient
@@ -95,28 +95,52 @@ class DesignParams(Record):
             raise ValueError("lambda_t must be nonnegative")
 
 
-def block_count(f: CodeFamily) -> int:
-    """Number of blocks b of the minimum-weight support design, which is the
-    minimum-weight coefficient of the extremal enumerator, in closed form
-    (Mallows-Sloane 1973; Rains-Sloane, "Self-dual codes", 1998):
+def _exact_div(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"inexact division {num} / {den}")
+    return q
 
-        r = 0:  b = C(5m-2, m-1) * C(n, 5) / C(k, 5)    (lambda_5 = C(5m-2, m-1))
-        r = 1:  b = n(n-1)(n-2)(n-4) * (5m)! / (4 * m! * (4m+4)!)
-        r = 2:  b = 3n(n-2) * (5m+2)! / (2 * m! * (4m+4)!)
 
-    The division is checked to be exact and b to be positive.
+def _phi_power_prefix(e: int, terms: int) -> list[int]:
+    """The first ``terms`` coefficients of PHI^e, PHI = 1 + 14z + z^2, for
+    any integer e, from the recurrence PHI * P' = e * PHI' * P."""
+    p = [1] + [0] * (terms - 1)
+    for k in range(1, terms):
+        prev = p[k - 2] if k > 1 else 0
+        p[k] = _exact_div(14 * (e - k + 1) * p[k - 1] + (2 * e - k + 2) * prev, k)
+    return p
+
+
+def _burmann_coefficient(a: int, j: int) -> int:
+    """c_j = [g^j] PHI^(-a) with g = PSI / PHI^3 = z + O(z^2), PSI =
+    z(1 - z)^4, by Lagrange-Buermann inversion with e = 3j - a - 1 >= 0:
+
+        c_j = (-a / j) [z^(j-1)] PHI' * PHI^e * (1 - z)^(-4j)
+            = (-a / j) sum_{d <= min(2e+1, j-1)} D_d C(5j-2-d, j-1-d),
+
+    where D_d = 14 p_d + 2 p_(d-1), p = PHI^e, are the coefficients of the
+    degree-(2e+1) polynomial PHI' * PHI^e.
     """
-    n, m = f.n, f.m
-    if f.r == 0:
-        num, den = binom(5 * m - 2, m - 1) * binom(n, 5), binom(f.k, 5)
-    elif f.r == 1:
-        num = n * (n - 1) * (n - 2) * (n - 4) * factorial(5 * m)
-        den = 4 * factorial(m) * factorial(4 * m + 4)
-    else:
-        num = 3 * n * (n - 2) * factorial(5 * m + 2)
-        den = 2 * factorial(m) * factorial(4 * m + 4)
-    b, rem = divmod(num, den)
-    if rem or b <= 0:
+    e = 3 * j - a - 1
+    if e < 0:
+        raise ValueError(f"closed Buermann sum needs 3j > a, got a={a}, j={j}")
+    p = _phi_power_prefix(e, 2 * e + 1) + [0]  # p[2e+1] = p[-1] = 0
+    top, bottom = 5 * j - 2, j - 1
+    c = binom(top, bottom)  # C(top - d, bottom - d) at d = 0
+    total = 0
+    for d in range(min(2 * e + 1, bottom) + 1):
+        total += (14 * p[d] + 2 * p[d - 1]) * c
+        c = _exact_div(c * (bottom - d), top - d)
+    return _exact_div(-a * total, j)
+
+
+def block_count(f: CodeFamily) -> int:
+    """Number of blocks b of the minimum-weight support design: the
+    minimum-weight coefficient A_k = -c_{m+1} of the extremal enumerator
+    (see :func:`designgate.gleason.next_weight_count`), checked positive."""
+    b = -_burmann_coefficient(f.n // 8, f.m + 1)
+    if b <= 0:
         raise ValueError(f"degenerate block count for {f}")
     return b
 

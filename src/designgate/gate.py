@@ -199,7 +199,7 @@ def _gate_polynomial(r: int, m: int, t: int) -> tuple[tuple[int, ...], int]:
     return tuple(c * lam for c, lam in zip(cs, lambdas)), annihilator_divisor(t)
 
 
-def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) -> GateResult:
+def integrality_gate(f: CodeFamily, t: int, u: int | None = None) -> GateResult:
     """Run the default-offset integrality test of strength t at reference
     weight u (u = k if omitted) on family member f: F(u) by Horner's rule
     on the d_h memoised per (family, m, t).
@@ -208,8 +208,7 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) ->
     design of f cannot be a t-design: the count at the first unconstrained
     even intersection level would be non-integral.  Non-integral lambda
     levels raise NonIntegralLambdaError before any gate arithmetic (the
-    hypothesis already fails one layer down).  A store record is checked,
-    never trusted: one that differs from the result raises ValueError.
+    hypothesis already fails one layer down).
     """
     if u is None:
         u = f.k
@@ -221,18 +220,11 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None, store=None) ->
         raise ValueError(
             f"u must be a weight multiple of 4 with {f.k} <= u <= {f.n - f.k}, got {u}"
         )
-    stored = None if store is None else store.get(f.r, f.m, t, u)
     d, divisor = _gate_polynomial(f.r, f.m, t)
     F = d[t]
     for h in range(t - 1, -1, -1):
         F = d[h] + (u - h) * F
-    result = GateResult(f.r, f.m, t, u, F, exact_quotient(F, divisor))
-    if stored is not None and stored != result:
-        raise ValueError(f"stored gate F = {stored.F}, quotient {stored.quotient} differs "
-                         f"from the computed F = {F}, quotient {result.quotient}")
-    if store is not None and stored is None:
-        store.put(result)
-    return result
+    return GateResult(f.r, f.m, t, u, F, exact_quotient(F, divisor))
 
 
 class IntersectionSolution(Record):

@@ -25,17 +25,16 @@ g1 and g2 are invariant under x <-> y, so every combination is palindromic
 (A_w = A_{n-w}): a full enumerator is solved only to z^(n/8), which is
 weight n/2, then mirrored, and verified by sum_w A_w = 2^(n/2), its value
 at x = y = 1, where g1 = 16 and g2 = 0.  The drivers need only the
-minimum-weight count, which has a closed form
-(:func:`designgate.families.block_count`), and the sign of the next
-coefficient, which :func:`next_weight_count` gets by Lagrange-Buermann
-inversion as a binomial sum of at most 12 terms.  The series prefix is the
-test oracle for both.
+minimum-weight count A_k = -c_{m+1} (:func:`designgate.families.block_count`)
+and the sign of the next coefficient (:func:`next_weight_count`), both from
+the Lagrange-Buermann coefficients c_j of one expansion, which live in
+:mod:`designgate.families`.  The series prefix is the test oracle for both.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .combinat import binom
+from .families import _burmann_coefficient, _exact_div, _phi_power_prefix
 
 # Largest family length the scans ever request: 24*163 + 16.
 LENGTH_CAP = 24 * 163 + 16
@@ -119,9 +118,9 @@ def extremal_weight_enumerator(n: int) -> WeightEnumerator:
 
 def min_weight_count(n: int) -> int:
     """Block count of the minimum-weight support design: the coefficient
-    A_{4 floor(n/24) + 4} of the extremal enumerator, read off the series.
-    The drivers use the closed forms of :func:`designgate.families.block_count`;
-    this is their test oracle."""
+    A_{4 floor(n/24) + 4} of the extremal enumerator, read off the series:
+    the test oracle of the Lagrange-Buermann count
+    :func:`designgate.families.block_count` that the drivers use."""
     nz = n // 24
     b = _extremal_prefix(n, nz + 2)[nz + 1]
     if b <= 0:
@@ -130,46 +129,6 @@ def min_weight_count(n: int) -> int:
             f"count {b}; the family degenerates here"
         )
     return b
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"inexact division {num} / {den}")
-    return q
-
-
-def _phi_power_prefix(e: int, terms: int) -> list[int]:
-    """The first ``terms`` coefficients of PHI^e for any integer e, from the
-    recurrence PHI * P' = e * PHI' * P."""
-    p = [1] + [0] * (terms - 1)
-    for k in range(1, terms):
-        prev = p[k - 2] if k > 1 else 0
-        p[k] = _exact_div(14 * (e - k + 1) * p[k - 1] + (2 * e - k + 2) * prev, k)
-    return p
-
-
-def _burmann_coefficient(a: int, j: int) -> int:
-    """c_j = [g^j] PHI^(-a) with g = PSI / PHI^3 = z + O(z^2), by
-    Lagrange-Buermann inversion with e = 3j - a - 1 >= 0:
-
-        c_j = (-a / j) [z^(j-1)] PHI' * PHI^e * (1 - z)^(-4j)
-            = (-a / j) sum_{d <= min(2e+1, j-1)} D_d C(5j-2-d, j-1-d),
-
-    where D_d = 14 p_d + 2 p_(d-1), p = PHI^e, are the coefficients of the
-    degree-(2e+1) polynomial PHI' * PHI^e.
-    """
-    e = 3 * j - a - 1
-    if e < 0:
-        raise ValueError(f"closed Buermann sum needs 3j > a, got a={a}, j={j}")
-    p = _phi_power_prefix(e, 2 * e + 1) + [0]  # p[2e+1] = p[-1] = 0
-    top, bottom = 5 * j - 2, j - 1
-    c = binom(top, bottom)  # C(top - d, bottom - d) at d = 0
-    total = 0
-    for d in range(min(2 * e + 1, bottom) + 1):
-        total += (14 * p[d] + 2 * p[d - 1]) * c
-        c = _exact_div(c * (bottom - d), top - d)
-    return _exact_div(-a * total, j)
 
 
 def next_weight_count(n: int) -> int:

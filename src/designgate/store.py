@@ -4,8 +4,10 @@ One line-delimited JSON record per gate, keyed by the four integers
 (family, m, t, u).  All numbers are exact decimal strings (the quotient as
 "p/q"); records are append-only and deduplicated on read (a key always maps
 to the same value, so last-wins is safe); a malformed record, or one whose
-verdict contradicts its quotient, is refused with ValueError.  The store
-directory comes from DESIGNGATE_STORE, defaulting to ./designgate_store.
+verdict contradicts its quotient, is refused with a ValueError that names
+the file and line.  ``designgate gate`` checks a record against the result
+it computed and appends one on a miss; the library never opens the store.
+The directory comes from DESIGNGATE_STORE, defaulting to ./designgate_store.
 """
 
 from __future__ import annotations
@@ -65,10 +67,14 @@ class ResultStore:
         if self._loaded:
             return
         if self.path.exists():
-            with open(self.path, encoding="ascii") as fh:
-                for line in filter(None, map(str.strip, fh)):
-                    res = record_to_result(json.loads(line))
-                    self._cache[(res.family, res.m, res.t, res.u)] = res
+            with open(self.path, "rb") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    try:
+                        if line.strip():
+                            res = record_to_result(json.loads(line.decode("ascii")))
+                            self._cache[(res.family, res.m, res.t, res.u)] = res
+                    except ValueError as exc:
+                        raise ValueError(f"{self.path}:{lineno}: {exc}") from None
         self._loaded = True
 
     def get(self, family: int, m: int, t: int, u: int) -> GateResult | None:

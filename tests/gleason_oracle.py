@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from designgate.gleason import _exact_div, _phi_power, _validate_length
+from designgate.families import _exact_div
+from designgate.gleason import _phi_power, _validate_length
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,9 @@ import pytest
 
 from designgate import gleason
 from designgate.combinat import binom
-from designgate.families import M_MAXES, CodeFamily, block_count
+from designgate.families import M_MAXES, CodeFamily, _burmann_coefficient, block_count
 from designgate.gleason import (
     LENGTH_CAP,
-    _burmann_coefficient,
     _extremal_prefix,
     extremal_weight_enumerator,
     min_weight_count,
@@ -161,11 +160,11 @@ def test_next_weight_count_closed_sum_matches_the_full_buermann_loop():
 
 
 @pytest.mark.parametrize("r", range(3))
-def test_first_buermann_coefficient_is_minus_the_block_count(r):
-    # A_k = -c_{m+1}: the closed sum against the Mallows-Sloane closed forms
+def test_block_count_matches_the_mallows_sloane_closed_forms(r):
+    # A_k = -c_{m+1} against the checker's independent closed forms, at
+    # every member, the length 8 and 16 base cases (b = 14, 28) included
     for m in range(1 if r == 0 else 0, M_MAXES[r] + 1):
-        f = CodeFamily(m, r)
-        assert -_burmann_coefficient(f.n // 8, m + 1) == block_count(f), f
+        assert block_count(CodeFamily(m, r)) == checker.block_count(r, m), (r, m)
 
 
 def test_closed_buermann_sum_refuses_a_coefficient_it_does_not_cover():

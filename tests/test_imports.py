@@ -92,6 +92,15 @@ def test_theorem_call_loads_no_store(tmp_path):
     assert "designgate.store" not in loaded
 
 
+def test_library_gate_call_loads_no_store(tmp_path):
+    # The gate does no I/O; only the gate subcommand opens the store.
+    loaded = loaded_after("from designgate.families import CodeFamily\n"
+                          "from designgate.gate import integrality_gate\n"
+                          "integrality_gate(CodeFamily(8, 0), 7)", tmp_path)
+    assert "designgate.gate" in loaded
+    assert "designgate.store" not in loaded
+
+
 def test_report_import_loads_no_fractions(tmp_path):
     # Exact numbers are printed with str(), so rendering needs no Fraction.
     assert "fractions" not in loaded_after("import designgate.report", tmp_path)

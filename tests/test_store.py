@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from designgate.cli import main
 from designgate.families import CodeFamily
 from designgate.gate import GateResult, integrality_gate
 from designgate.store import ENV_VAR, ResultStore, record_to_result, result_to_record
+
+GATE_ARGV = ["gate", "--family", "24m", "--m", "8", "--t", "7"]
 
 
 def test_record_roundtrip():
@@ -28,17 +31,20 @@ def test_record_exact_decimal_strings():
     assert rec["quotient"].endswith("/8")
 
 
-def test_store_roundtrip(tmp_path):
-    store = ResultStore(tmp_path / "s")
-    res = integrality_gate(CodeFamily(8, 0), 7, store=store)
-    assert store.get(0, 8, 7, 36) == res
+def test_the_gate_takes_no_store():
+    assert list(inspect.signature(integrality_gate).parameters) == ["f", "t", "u"]
+
+
+def test_store_roundtrip(tmp_path, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, str(tmp_path / "s"))
+    assert main(GATE_ARGV) == 0
+    res = integrality_gate(CodeFamily(8, 0), 7)
     # a fresh handle reads the same record back from disk
     again = ResultStore(tmp_path / "s")
     assert again.get(0, 8, 7, 36) == res
     assert len(again) == 1
 
 
-GATE_ARGV = ["gate", "--family", "24m", "--m", "8", "--t", "7"]
 # Edits to the honest (24m, m=8, t=7, u=36) record, whose quotient is
 # 1569595833/8, and the error each must give.
 FAULTS = {
@@ -48,27 +54,37 @@ FAULTS = {
 }
 
 
-def _one_record_store(tmp_path, changes: dict) -> Path:
+def _faulty_store(tmp_path, lines) -> Path:
+    """A store directory whose lines are raw text or, for a dict, the honest
+    (24m, m=8, t=7, u=36) record with the dict's changes."""
     rec = result_to_record(integrality_gate(CodeFamily(8, 0), 7))
     store = tmp_path / "faulty"
     store.mkdir()
-    (store / "gates.jsonl").write_text(json.dumps(dict(rec, **changes)) + "\n")
+    (store / "gates.jsonl").write_text("".join(
+        (line if isinstance(line, str) else json.dumps(dict(rec, **line))) + "\n"
+        for line in lines), encoding="utf-8")
     return store
 
 
-def test_a_store_hit_is_checked_not_trusted(tmp_path):
-    store = ResultStore(tmp_path / "s")
-    first = integrality_gate(CodeFamily(8, 0), 7, store=store)
+def test_a_store_hit_is_checked_not_trusted(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_VAR, str(tmp_path / "s"))
+    assert main(GATE_ARGV) == 0
+    first = capsys.readouterr().out
     path = tmp_path / "s" / "gates.jsonl"
     lines = path.read_text()
-    # An honest hit returns the same result and appends nothing.
-    again = ResultStore(tmp_path / "s")
-    assert integrality_gate(CodeFamily(8, 0), 7, store=again) == first
-    assert path.read_text() == lines and len(again) == 1
-    # A hit that differs from the computed result is refused.
-    store._cache[(0, 8, 7, 36)] = GateResult(0, 8, 7, 36, first.F + 8, first.quotient)
-    with pytest.raises(ValueError, match="differs from the computed"):
-        integrality_gate(CodeFamily(8, 0), 7, store=store)
+    # An honest hit prints the same report and appends nothing.
+    assert main(GATE_ARGV) == 0
+    assert capsys.readouterr().out == first
+    assert path.read_text() == lines and len(ResultStore(tmp_path / "s")) == 1
+    # A hit that differs from the computed result is refused, before any
+    # output and without an append.
+    rec = json.loads(lines)
+    path.write_text(json.dumps(dict(rec, F=str(int(rec["F"]) + 8))) + "\n")
+    forged = path.read_text()
+    assert main(GATE_ARGV) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "differs from the computed" in err
+    assert path.read_text() == forged
 
 
 def test_malformed_records_raise_value_error():
@@ -85,11 +101,39 @@ def test_malformed_records_raise_value_error():
 @pytest.mark.parametrize("fault", FAULTS)
 def test_faulty_record_exits_2_before_any_output(fault, tmp_path, monkeypatch, capsys):
     changes, message = FAULTS[fault]
-    monkeypatch.setenv(ENV_VAR, str(_one_record_store(tmp_path, changes)))
+    monkeypatch.setenv(ENV_VAR, str(_faulty_store(tmp_path, [changes])))
     assert main(GATE_ARGV) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+# Store files that cannot be loaded, and the line each error must name.
+UNLOADABLE = {
+    "not JSON": (['{"family": 0,, "m": 8}'], 1),
+    "zero denominator": ([{"quotient": "5/0"}], 1),
+    "not JSON after an honest line": ([{}, "[1, 2"], 2),
+    "not ASCII after a blank line": (["", '{"family": "\u00e9"}'], 2),
+}
+
+
+@pytest.mark.parametrize("case", UNLOADABLE)
+def test_load_error_names_the_store_file_and_line(case, tmp_path, monkeypatch, capsys):
+    lines, lineno = UNLOADABLE[case]
+    monkeypatch.setenv(ENV_VAR, str(_faulty_store(tmp_path, lines)))
+    assert main(GATE_ARGV) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"gates.jsonl:{lineno}: " in err and err.startswith("error: ")
+
+
+def test_a_lambda_level_failure_never_opens_the_store(tmp_path, monkeypatch, capsys):
+    # The store is read only once a gate has been computed, so a member
+    # whose level counts fail reports them even beside an unloadable store.
+    monkeypatch.setenv(ENV_VAR, str(_faulty_store(tmp_path, UNLOADABLE["not JSON"][0])))
+    assert main(["gate", "--family", "24m", "--m", "7", "--t", "7", "--no-timestamp"]) == 0
+    out, err = capsys.readouterr()
+    assert "PRE-GATE FAIL" in out and err == ""
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -102,7 +146,7 @@ def test_faulty_record_exits_2_under_python_O(fault, tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env[ENV_VAR] = str(_one_record_store(tmp_path, changes))
+    env[ENV_VAR] = str(_faulty_store(tmp_path, [changes]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
@@ -130,8 +174,9 @@ def test_from_env(tmp_path, monkeypatch):
 
 
 def test_pass_verdict_roundtrip(tmp_path):
-    store = ResultStore(tmp_path / "s")
-    res = integrality_gate(CodeFamily(15, 0), 7, store=store)
+    res = integrality_gate(CodeFamily(15, 0), 7)
+    ResultStore(tmp_path / "s").put(res)
+    assert ResultStore(tmp_path / "s").get(0, 15, 7, 64) == res
     assert res.integral and res.quotient.denominator == 1
     rec = result_to_record(res)
     assert rec["verdict"] == "PASS"
@@ -142,8 +187,8 @@ def test_pass_verdict_roundtrip(tmp_path):
 def test_int_quotient_roundtrip(tmp_path):
     # An integral quotient is an int both when computed and when read back
     # from its "p/1" record.
-    store = ResultStore(tmp_path / "s")
-    res = integrality_gate(CodeFamily(63, 0), 8, store=store)
+    res = integrality_gate(CodeFamily(63, 0), 8)
+    ResultStore(tmp_path / "s").put(res)
     assert type(res.quotient) is int
     back = ResultStore(tmp_path / "s").get(0, 63, 8, 256)
     assert back == res and hash(back) == hash(res)
