@@ -20,15 +20,20 @@ coefficient lists over the variable z = y^4/x^4:
 
 Each basis element j has leading z-term z^j, so forcing A_0, A_4, ...,
 A_{4 floor(n/24)} makes the linear system for the combination unit
-triangular: the combination is found by one pass of forward elimination.
-g1 and g2 are invariant under x <-> y, so every combination is palindromic
-(A_w = A_{n-w}): a full enumerator is solved only to z^(n/8), which is
-weight n/2, then mirrored, and verified by sum_w A_w = 2^(n/2), its value
-at x = y = 1, where g1 = 16 and g2 = 0.  The drivers need only the
-minimum-weight count A_k = -c_{m+1} (:func:`designgate.families.block_count`)
+triangular: the combination is found by one pass of forward elimination,
+about n^2/200 big-integer steps, which serves only :func:`min_weight_count`
+and the tests.  g1 and g2 are invariant under x <-> y, so every combination
+is palindromic (A_w = A_{n-w}): a full enumerator needs only w_i = A_{4i} for
+i <= a = n/8, which it takes in n/8 steps from a linear recurrence with
+polynomial coefficients (:data:`_RECURRENCE_Q`) seeded with w_0 = 1, w_1 =
+... = w_m = 0 and w_{m+1} = -c_{m+1}, m = floor(n/24), and run to w_{a+1}.
+Three checks raise ArithmeticError: every division is exact, the centre is
+palindromic (w_{a+1} = w_{a-1}, for a >= 2), and the mirrored enumerator
+sums to 2^(n/2), its value at x = y = 1, where g1 = 16 and g2 = 0.  The
+drivers need only A_k = -c_{m+1} (:func:`designgate.families.block_count`)
 and the sign of the next coefficient (:func:`next_weight_count`), both from
 the Lagrange-Buermann coefficients c_j of one expansion, which live in
-:mod:`designgate.families`.  The series prefix is the test oracle for both.
+:mod:`designgate.families`.  The series prefix is the test oracle for all three.
 """
 
 from __future__ import annotations
@@ -77,6 +82,60 @@ def _extremal_prefix(n: int, trunc: int) -> list[int]:
     return w
 
 
+# sum_{s=0..R} p_s(i) w_{i+s} = 0 on w_i = A_{4i}, with N = n/4, m = floor(n/24),
+# R = 2 for r = (n/8) mod 3 = 0 and R = 4 otherwise, every p_s of degree 7 in i:
+#     p_0(i) = i (i-N)(i-N+1)(i-N+m+1)(2i-2N+1)(4i-4N+1)(4i-4N+3),
+#     p_R(i) = (i-N+R)(i-m+R-1)(i+R-1)(i+R)(2i+2R-1)(4i+4R-3)(4i+4R-1),
+#     p_s(i) = (i-N+s)(i+s) q_s(i), times (2i-N+2s) where 2s = R, for 0 < s < R.
+# _RECURRENCE_Q[r] holds q_1..q_(R-1), each by its coefficients from the highest
+# power of i down, each coefficient a polynomial in m, highest power first.
+_RECURRENCE_Q = (
+    (((-32,), (384, -128), (-2688, 1712, -262), (9216, -8736, 2692, -268),
+      (-6912, 12096, -6468, 1389, -105)),),
+    (((384,), (-12032, -160), (142848, 3264, -408), (-836352, -23328, 8120, 310),
+      (2446848, 77760, -49248, -3504, -42), (-2861568, -93312, 100872, 10638, 270, 0)),
+     ((-416,), (4992, -1664), (-33408, 10032, -2878), (110592, -37152, 7380, -2428),
+      (-62208, 81216, -8388, 2049, -804)),
+     ((384,), (512, 4000), (-7680, 3520, 16232), (34560, -46944, 8056, 31802),
+      (-69120, 150336, -91488, 6584, 29662), (41472, -169344, 152856, -57414, 894, 10260))),
+    (((384,), (-12032, -3808), (142848, 90048, 13224), (-836352, -783648, -226024, -18686),
+      (2446848, 3036096, 1298592, 209784, 7806),
+      (-2861568, -4406400, -2480760, -583650, -37872, 2970)),
+     ((-416,), (4992, 0), (-33408, -16464, -5182), (110592, 98784, 31092, 0),
+      (-62208, -77760, -38340, -9315, -2322)),
+     ((384,), (512, 3808), (-7680, -1344, 13224), (34560, -14688, -12008, 18686),
+      (-69120, 67392, 14496, -14448, 7806), (41472, -114048, -30312, -2358, -8964, -2970))),
+)
+
+
+def _horner(coefficients, x: int) -> int:
+    value = 0
+    for c in coefficients:
+        value = value * x + c
+    return value
+
+
+def _recurrence_prefix(n: int) -> list[int]:
+    """[A_0, A_4, ..., A_{n/2}] of the extremal enumerator of length n by the
+    seeded recurrence, with its exact-division and centre checks."""
+    _validate_length(n)
+    a, m, N = n // 8, n // 24, n // 4
+    qs = [[_horner(c, m) for c in q] for q in _RECURRENCE_Q[a - 3 * m]]
+    R = len(qs) + 1
+    w = [0] * R + [1] + [0] * m + [-_burmann_coefficient(a, m + 1)]  # w_i is w[R + i]
+    for i in range(m - R + 2, (a + 1 if a > 1 else a) + 1 - R):  # a = 1: all seeds
+        x, j = i - N, i + R
+        acc = i * x * (x + 1) * (x + m + 1) * (2 * x + 1) * (4 * x + 1) * (4 * x + 3) * w[R + i]
+        for s, q in enumerate(qs, 1):
+            p = (x + s) * (i + s) * _horner(q, i) * (i + x + 2 * s if 2 * s == R else 1)
+            acc += p * w[R + i + s]
+        w.append(_exact_div(-acc, (j - N) * (j - m - 1) * (j - 1) * j
+                            * (2 * j - 1) * (4 * j - 3) * (4 * j - 1)))
+    if a > 1 and w[R + a + 1] != w[R + a - 1]:
+        raise ArithmeticError(f"extremal enumerator of length {n} is not palindromic at its centre")
+    return w[R:R + a + 1]
+
+
 class WeightEnumerator(Record):
     """Exact coefficient list A_0..A_n of a length-n weight enumerator."""
 
@@ -104,10 +163,10 @@ class WeightEnumerator(Record):
 
 def extremal_weight_enumerator(n: int) -> WeightEnumerator:
     """The extremal enumerator of length n: the unique basis combination with
-    A_0 = 1 and A_4 = ... = A_{4 floor(n/24)} = 0, solved exactly up to
-    weight n/2 and mirrored by A_w = A_{n-w}.  Raises ArithmeticError unless
-    the coefficients sum to 2^(n/2)."""
-    prefix = _extremal_prefix(n, n // 8)
+    A_0 = 1 and A_4 = ... = A_{4 floor(n/24)} = 0, run by its recurrence up
+    to weight n/2 and mirrored by A_w = A_{n-w}.  Raises ArithmeticError
+    unless the coefficients sum to 2^(n/2)."""
+    prefix = _recurrence_prefix(n)
     coeffs = [0] * (n + 1)
     for i, a in enumerate(prefix):
         coeffs[4 * i] = coeffs[n - 4 * i] = a

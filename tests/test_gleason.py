@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from designgate.families import M_MAXES, CodeFamily, _burmann_coefficient, block
 from designgate.gleason import (
     LENGTH_CAP,
     _extremal_prefix,
+    _recurrence_prefix,
     extremal_weight_enumerator,
     min_weight_count,
     next_weight_count,
@@ -88,38 +91,95 @@ def test_one_pass_elimination_matches_the_two_pass_oracle(n):
 
 
 def test_enumerator_sum_check_rejects_bad_series(monkeypatch):
-    def perturbed(n, trunc):
-        prefix = _extremal_prefix(n, trunc)
+    def perturbed(n):
+        prefix = _recurrence_prefix(n)
         prefix[-1] += 1  # A_{n/2}, which the mirror does not duplicate
         return prefix
 
-    monkeypatch.setattr(gleason, "_extremal_prefix", perturbed)
+    monkeypatch.setattr(gleason, "_recurrence_prefix", perturbed)
     with pytest.raises(ArithmeticError, match="does not sum to 2"):
         extremal_weight_enumerator(48)
 
 
-def test_enumerator_sum_check_survives_python_O():
-    code = (
-        "from designgate import gleason\n"
-        "assert False, 'assertions are on'\n"
-        "good = gleason._extremal_prefix\n"
-        "def bad(n, trunc):\n"
-        "    prefix = good(n, trunc)\n"
-        "    prefix[-1] += 1\n"
-        "    return prefix\n"
-        "gleason._extremal_prefix = bad\n"
-        "try:\n"
-        "    gleason.extremal_weight_enumerator(48)\n"
-        "except ArithmeticError:\n"
-        "    print('rejected')\n"
-    )
+def _run_under_python_O(code: str) -> str:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["rejected"]
+    return proc.stdout
+
+
+def test_enumerator_sum_check_survives_python_O():
+    code = (
+        "from designgate import gleason\n"
+        "assert False, 'assertions are on'\n"
+        "good = gleason._recurrence_prefix\n"
+        "def bad(n):\n"
+        "    prefix = good(n)\n"
+        "    prefix[-1] += 1\n"
+        "    return prefix\n"
+        "gleason._recurrence_prefix = bad\n"
+        "try:\n"
+        "    gleason.extremal_weight_enumerator(48)\n"
+        "except ArithmeticError:\n"
+        "    print('rejected')\n"
+    )
+    assert _run_under_python_O(code).split() == ["rejected"]
+
+
+def test_perturbed_recurrence_constant_raises_under_python_O():
+    # r = 0's last constant -105 -> -104: every length 24m must raise
+    # ArithmeticError (an inexact division or the centre check), never
+    # return an enumerator.
+    code = (
+        "from designgate import gleason\n"
+        "assert False, 'assertions are on'\n"
+        "(q,), *rest = gleason._RECURRENCE_Q\n"
+        "print(q[4][-1])\n"
+        "gleason._RECURRENCE_Q = ((q[:4] + (q[4][:-1] + (-104,),),), *rest)\n"
+        "for n in range(24, gleason.LENGTH_CAP + 1, 24):\n"
+        "    try:\n"
+        "        gleason.extremal_weight_enumerator(n)\n"
+        "    except ArithmeticError:\n"
+        "        print('rejected')\n"
+        "    else:\n"
+        "        print('returned', n)\n"
+    )
+    assert _run_under_python_O(code).split() == ["-105"] + ["rejected"] * 163
+
+
+# SHA-256 of "n:w_0,...,w_a;" over n = 8, 16, ..., LENGTH_CAP, w_i = A_{4i}, a = n/8.
+ORACLE_PREFIX_DIGEST = "fd019597e61f38409097fafddf17de9d591f79b229ea3aa794b66dd56e12e32a"
+
+
+@functools.cache
+def recurrence_prefixes() -> dict[int, list[int]]:
+    return {n: _recurrence_prefix(n) for n in range(8, LENGTH_CAP + 1, 8)}
+
+
+def test_recurrence_matches_the_pinned_elimination_digest_at_every_length():
+    """The digest was made once from the series elimination (about 11 s):
+
+        hashlib.sha256("".join(f"{n}:{','.join(map(str, _extremal_prefix(n, n // 8)))};"
+                               for n in range(8, LENGTH_CAP + 1, 8)).encode()).hexdigest()
+    """
+    h = hashlib.sha256()
+    for n, w in recurrence_prefixes().items():
+        h.update(f"{n}:{','.join(map(str, w))};".encode())
+    assert h.hexdigest() == ORACLE_PREFIX_DIGEST
+
+
+def test_recurrence_matches_the_live_elimination():
+    # Every n <= 1200 and the three largest lengths of each family: the
+    # pinned digest above is the oracle's, not only the recurrence's.
+    prefixes = recurrence_prefixes()
+    lengths = [n for n in prefixes if n <= 1200]
+    for r in range(3):
+        lengths += [n for n in prefixes if n % 24 == 8 * r][-3:]
+    for n in lengths:
+        assert prefixes[n] == _extremal_prefix(n, n // 8), n
 
 
 @pytest.mark.parametrize("n", [24, 48, 72, 104, 136])

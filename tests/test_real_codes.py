@@ -1,7 +1,7 @@
 """Ground truth from real codes.  Four extremal doubly even self-dual codes
-are built here, every codeword is listed, and the block counts, lambda
-levels, intersection numbers and gate quotients are checked against direct
-counts over their minimum-weight words.
+are built here, every codeword is listed, and the weight distributions,
+block counts, lambda levels, intersection numbers and gate quotients are
+checked against direct counts over their words.
 
     [8, 4, 4] Hamming               family 24m+8,  m = 0
     e8 + e8                         family 24m+16, m = 0
@@ -23,6 +23,7 @@ from designgate.gate import (
     offset_product_sum,
     solve_intersection_numbers,
 )
+from designgate.gleason import extremal_weight_enumerator
 
 
 def extended_qr_rows(p: int) -> list[int]:
@@ -80,6 +81,16 @@ def meeting_counts(ref: int, blocks: list[int]) -> dict[int, int]:
         i = (b & ref).bit_count()
         counts[i] = counts.get(i, 0) + 1
     return counts
+
+
+def test_weight_distribution_is_the_extremal_enumerator(code):
+    # m = 0 and m = 1: at n = 8 the recurrence's seeds are the whole half,
+    # at n = 16 and 32 its order-4 loop starts at a negative index.
+    f, words, _ = code
+    distribution = [0] * (f.n + 1)
+    for w in words:
+        distribution[w.bit_count()] += 1
+    assert tuple(distribution) == extremal_weight_enumerator(f.n).coefficients
 
 
 def test_block_count_is_the_minimum_weight_count(code):
