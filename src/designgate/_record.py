@@ -6,13 +6,20 @@ class Record:
     """Base of the package's frozen value types.  A subclass names its fields,
     in constructor order, in ``__slots__`` and passes their values to
     ``Record.__init__``; equality, hashing and repr go by the field tuple,
-    and assigning or deleting a field afterwards raises AttributeError."""
+    and assigning or deleting a field afterwards raises AttributeError.
+    ``_setters`` holds each slot descriptor's ``__set__``, in field order."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} fields, got {len(values)}")
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -37,6 +37,7 @@ from functools import lru_cache
 from ._record import Record
 from .combinat import binom, elem_sym, exact_quotient, falling, stirling2
 from .families import (
+    AM_STRENGTHS,
     T_CAP,
     CodeFamily,
     DesignParams,
@@ -175,7 +176,14 @@ class GateResult(Record):
     __slots__ = ("family", "m", "t", "u", "F", "quotient")
 
     def __init__(self, family: int, m: int, t: int, u: int, F: int, quotient: int | Fraction):
-        super().__init__(family, m, t, u, F, quotient)
+        # One frame per gate cell: the slot setters, without Record.__init__.
+        set_family, set_m, set_t, set_u, set_F, set_quotient = self._setters
+        set_family(self, family)
+        set_m(self, m)
+        set_t(self, t)
+        set_u(self, u)
+        set_F(self, F)
+        set_quotient(self, quotient)
 
     @property
     def integral(self) -> bool:
@@ -210,21 +218,22 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None) -> GateResult:
     levels raise NonIntegralLambdaError before any gate arithmetic (the
     hypothesis already fails one layer down).
     """
+    r, m = f.r, f.m
+    k, n = 4 * m + 4, 24 * m + 8 * r
     if u is None:
-        u = f.k
-    if t < f.am_strength:
-        raise ValueError(f"t = {t} below base strength {f.am_strength}")
+        u = k
+    if t < AM_STRENGTHS[r]:
+        raise ValueError(f"t = {t} below base strength {AM_STRENGTHS[r]}")
     if t > T_CAP:
         raise ValueError(f"t = {t} above the supported cap {T_CAP}")
-    if u % 4 or not f.k <= u <= f.n - f.k:
-        raise ValueError(
-            f"u must be a weight multiple of 4 with {f.k} <= u <= {f.n - f.k}, got {u}"
-        )
-    d, divisor = _gate_polynomial(f.r, f.m, t)
+    if u % 4 or not k <= u <= n - k:
+        raise ValueError(f"u must be a weight multiple of 4 with {k} <= u <= {n - k}, got {u}")
+    d, divisor = _gate_polynomial(r, m, t)
     F = d[t]
     for h in range(t - 1, -1, -1):
         F = d[h] + (u - h) * F
-    return GateResult(f.r, f.m, t, u, F, exact_quotient(F, divisor))
+    q, rem = divmod(F, divisor)
+    return GateResult(r, m, t, u, F, exact_quotient(F, divisor) if rem else q)
 
 
 class IntersectionSolution(Record):

@@ -168,8 +168,7 @@ def extremal_weight_enumerator(n: int) -> WeightEnumerator:
     unless the coefficients sum to 2^(n/2)."""
     prefix = _recurrence_prefix(n)
     coeffs = [0] * (n + 1)
-    for i, a in enumerate(prefix):
-        coeffs[4 * i] = coeffs[n - 4 * i] = a
+    coeffs[::4] = prefix + prefix[-2::-1]
     if sum(coeffs) != 2 ** (n // 2):
         raise ArithmeticError(f"extremal enumerator of length {n} does not sum to 2^{n // 2}")
     return WeightEnumerator(n, tuple(coeffs))

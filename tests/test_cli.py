@@ -279,6 +279,16 @@ def test_wenum_bad_n_exits_2(capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flag", [["--no-timestamp"], ["--format", "json"]])
+def test_wenum_takes_only_out_and_exits_2_on_report_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["wenum", "--n", "24", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
 def test_theorem_ids_offered_and_checked_by_the_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["theorem", "--help"])

@@ -240,15 +240,23 @@ def test_gate_pre_fail_on_nonintegral_lambda():
 
 
 def test_gate_input_validation():
+    # `designgate gate` prints these texts after `error: `.
     f = CodeFamily(8, 0)
-    with pytest.raises(ValueError):
-        integrality_gate(f, 4)  # below base strength
-    with pytest.raises(ValueError):
-        integrality_gate(f, 13)  # above cap
-    with pytest.raises(ValueError):
-        integrality_gate(f, 7, 35)  # u not a multiple of 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^t = 4 below base strength 5$"):
+        integrality_gate(f, 4)
+    with pytest.raises(ValueError, match=r"^t = 13 above the supported cap 12$"):
+        integrality_gate(f, 13)
+    with pytest.raises(ValueError, match=r"^u must be a weight multiple of 4 with "
+                                         r"36 <= u <= 156, got 35$"):
+        integrality_gate(f, 7, 35)
+    with pytest.raises(ValueError, match=r"^u must be a weight multiple of 4 with "
+                                         r"36 <= u <= 156, got 160$"):
         integrality_gate(f, 7, 24 * 8 - 32)  # u beyond n - k
+    for f in (CodeFamily(5, 1), CodeFamily(5, 2)):
+        t, top = f.am_strength, f.n - f.k
+        assert integrality_gate(f, t, top).u == top
+        with pytest.raises(ValueError, match=rf"with {f.k} <= u <= {top}, got {top + 4}$"):
+            integrality_gate(f, t, top + 4)
 
 
 def test_solve_golay_intersections():

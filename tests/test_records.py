@@ -2,13 +2,24 @@
 survive copy and pickle."""
 
 import copy
+import importlib
+import math
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import designgate
+from designgate._record import Record
 from designgate.families import CodeFamily, DesignParams
-from designgate.gate import GateResult, IntersectionSolution, MomentVector, OffsetSet
+from designgate.gate import (
+    GateResult,
+    IntersectionSolution,
+    MomentVector,
+    OffsetSet,
+    integrality_gate,
+)
 from designgate.gleason import WeightEnumerator
 
 FROZEN = [
@@ -74,3 +85,55 @@ def test_verdict_and_integral_follow_from_the_quotient_and_cannot_be_assigned():
     for name, value in (("verdict", "PASS"), ("integral", True)):
         with pytest.raises(AttributeError):
             setattr(res, name, value)
+
+
+def _package_records() -> list[type]:
+    for info in pkgutil.iter_modules(designgate.__path__):
+        importlib.import_module(f"designgate.{info.name}")
+    found, todo = [], list(Record.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith("designgate."):
+            found.append(cls)
+    return found
+
+
+def test_every_record_has_one_setter_per_slot_in_slot_order():
+    records = _package_records()
+    assert {type(v) for v in FROZEN} <= set(records)
+    for cls in records:
+        assert len(cls._setters) == len(cls.__slots__), cls.__name__
+        for name, set_field in zip(cls.__slots__, cls._setters):
+            assert set_field.__self__ is cls.__dict__[name], (cls.__name__, name)
+
+
+@pytest.mark.parametrize("f,t,u", [(CodeFamily(63, 0), 7, 400), (CodeFamily(8, 0), 7, 36),
+                                   (CodeFamily(63, 0), 8, None)])
+def test_gate_result_equals_the_one_built_from_its_fields(f, t, u):
+    res = integrality_gate(f, t, u)
+    built = GateResult(family=res.family, m=res.m, t=res.t, u=res.u, F=res.F,
+                       quotient=res.quotient)
+    assert res == built and hash(res) == hash(built) and repr(res) == repr(built)
+    assert (res.family, res.m, res.t) == (f.r, f.m, t)
+    assert res.u == (f.k if u is None else u)
+    assert res.quotient == Fraction(res.F, 2**t * math.factorial(t))
+
+
+@pytest.mark.parametrize("value", FROZEN, ids=lambda v: type(v).__name__)
+def test_wrong_arity_raises_type_error(value):
+    fields = value._fields()
+    with pytest.raises(TypeError):
+        type(value)(*fields, fields[0])
+    with pytest.raises(TypeError):
+        type(value)(*fields[:-1])
+
+
+def test_record_init_checks_arity():
+    class Pair(Record):
+        __slots__ = ("a", "b")
+
+    assert Pair(1, 2) == Pair(1, 2) and repr(Pair(1, 2)) == "Pair(a=1, b=2)"
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError, match=f"^Pair takes 2 fields, got {len(values)}$"):
+            Pair(*values)
