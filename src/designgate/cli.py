@@ -15,12 +15,12 @@ import os
 import sys
 
 from .families import (
-    CodeFamily,
     FAMILY_LABELS,
     THEOREM_IDS,
     NonIntegralLambdaError,
     apply_strengthening,
     lambda_levels,
+    member,
     nonintegral_levels,
     scan_members,
     scan_range,
@@ -95,7 +95,7 @@ def _check_jobs(args) -> None:
 
 
 def _cmd_lambda(args) -> int:
-    f = CodeFamily(args.m, _FAMILY_INDEX[args.family])
+    f = member(_FAMILY_INDEX[args.family], args.m).family
     t_eff = apply_strengthening(f, args.t)
     if t_eff > f.k:
         raise ValueError(f"strength {t_eff} outside [{f.am_strength}, {f.k}]")
@@ -133,7 +133,7 @@ def _cmd_gate(args) -> int:
     from .gate import integrality_gate
     from .store import ResultStore
 
-    f = CodeFamily(args.m, _FAMILY_INDEX[args.family])
+    f = member(_FAMILY_INDEX[args.family], args.m).family
     u = f.k if args.u is None else args.u
     try:
         res = integrality_gate(f, args.t, u)

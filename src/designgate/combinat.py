@@ -1,5 +1,5 @@
 """Exact combinatorial primitives: binomials, falling factorials, Stirling
-numbers of the second kind, elementary symmetric polynomials.
+numbers of the second kind, elementary symmetric polynomials, offset products.
 
 All arithmetic in this package is exact.  Integers are plain Python ``int``
 (arbitrary precision); rationals are ``fractions.Fraction``, which is always
@@ -85,6 +85,27 @@ def elem_sym(xs: list[int]) -> list[int]:
             nxt[i + 1] += c * x
         coeffs = nxt
     return coeffs
+
+
+@lru_cache(maxsize=None)
+def offset_coefficients(xs: tuple[int, ...]) -> tuple[int, ...]:
+    """c_0..c_l with prod_j (i - x_j) = sum_h c_h (i)_h for the l offsets xs:
+    c_h = sum_theta (-1)^theta sigma_theta S(l - theta, h)."""
+    l = len(xs)
+    sigma = elem_sym(list(xs))
+    out = [0] * (l + 1)
+    for theta in range(l + 1):
+        sign = -sigma[theta] if theta % 2 else sigma[theta]
+        for h in range(l - theta + 1):
+            out[h] += sign * stirling2(l - theta, h)
+    return tuple(out)
+
+
+def annihilator_divisor(l: int) -> int:
+    """prod_j (2l - x_j) = 2^l l! over the default offsets 0, 2, ..., 2(l-1)."""
+    if l < 1:
+        raise ValueError("need l >= 1")
+    return math.prod(range(2, 2 * l + 1, 2))
 
 
 def exact_quotient(num: int, den: int) -> int | Fraction:

@@ -8,18 +8,20 @@ indexed by r in {0, 1, 2}:
     r = 2:  [24m + 16, 12m + 8, 4m+4]   strength 1,               m <= 163
 
 The support design of the minimum weight has the code length as point count,
-4m + 4 as block size, and as many blocks b as minimum-weight codewords: b is
-a Lagrange-Buermann coefficient of the extremal enumerator (:func:`block_count`;
-:mod:`designgate.gleason` reads the next weight off the same expansion).  Its
+4m + 4 as block size, and as many blocks b as minimum-weight codewords.  Its
 level-i block counts lambda_i = b * C(k, i) / C(v, i) are exact rationals;
 a hypothesis "this design is a t-design" forces lambda_i to be a nonnegative
 integer for every i <= t, which is what :func:`admissible_scan` checks.
+Every layer reads b, A_{k+4}, the levels and the gate polynomials of a
+member from one record, :func:`member`, built once per process.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ._record import Record
-from .combinat import binom, exact_quotient
+from .combinat import annihilator_divisor, binom, exact_quotient, offset_coefficients
 
 AM_STRENGTHS = (5, 3, 1)
 M_MAXES = (153, 158, 163)
@@ -135,21 +137,56 @@ def _burmann_coefficient(a: int, j: int) -> int:
     return _exact_div(-a * total, j)
 
 
-def block_count(f: CodeFamily) -> int:
-    """Number of blocks b of the minimum-weight support design: the
-    minimum-weight coefficient A_k = -c_{m+1} of the extremal enumerator
-    (see :func:`designgate.gleason.next_weight_count`), checked positive."""
-    b = -_burmann_coefficient(f.n // 8, f.m + 1)
+def _extremal_counts(a: int, m: int) -> tuple[int, int]:
+    """(A_k, A_{k+4}) of the extremal enumerator of length 8a, k = 4m + 4,
+    m = floor(a/3).  The enumerator over x^n is 1 - sum_{j>m} c_j
+    PHI^(a-3j) PSI^j, c_j = [g^j] PHI^(-a), so its coefficients at z^(m+1)
+    and z^(m+2) involve c_{m+1} and c_{m+2} alone (at most 12 terms each):
+    A_k = -c_{m+1} and A_{k+4} = -c_{m+2} - c_{m+1} (14a - 46(m+1))."""
+    c1 = _burmann_coefficient(a, m + 1)
+    return -c1, -_burmann_coefficient(a, m + 2) - c1 * (14 * a - 46 * (m + 1))
+
+
+class Member(Record):
+    """One family member as every layer reads it: its CodeFamily, b = A_k,
+    A_{k+4}, the leading run lambda_0..lambda_j (j <= min(k, T_CAP)) of
+    levels that are nonnegative integers, and gates[t] = (d_0..d_t, 2^t t!)
+    for base strength s <= t <= j (None for t < s): the default-offset gate
+    polynomial F(u) = sum_h d_h (u)_h, d_h = c_h lambda_h, of strength t."""
+
+    __slots__ = ("family", "b", "next_count", "levels", "gates")
+
+
+@lru_cache(maxsize=None)
+def member(r: int, m: int) -> Member:
+    """The :class:`Member` of family r at m, built once per process; the
+    levels come from divmod, so no Fraction is built."""
+    f = CodeFamily(m, r)
+    b, next_count = _extremal_counts(f.n // 8, m)
     if b <= 0:
         raise ValueError(f"degenerate block count for {f}")
-    return b
+    levels, gates = [], [None] * f.am_strength
+    for i in range(min(f.k, T_CAP) + 1):
+        lam, rem = divmod(b * binom(f.k, i), binom(f.n, i))
+        if rem:
+            break
+        levels.append(lam)
+    for t in range(f.am_strength, len(levels)):
+        cs = offset_coefficients(tuple(range(0, 2 * t, 2)))
+        gates.append((tuple(c * lam for c, lam in zip(cs, levels)), annihilator_divisor(t)))
+    return Member(f, b, next_count, tuple(levels), tuple(gates))
+
+
+def block_count(f: CodeFamily) -> int:
+    """Number of blocks b = A_k = -c_{m+1} of the minimum-weight support design."""
+    return member(f.r, f.m).b
 
 
 def lambda_levels(f: CodeFamily, levels) -> list[int | Fraction]:
     """[lambda_i for i in levels] of the minimum-weight support design, with
-    lambda_i = b * C(k, i) / C(v, i) and one block count b for all of them:
-    an int where the division is exact, else a Fraction (the normalising
-    gcd is paid only there).
+    lambda_i = b * C(k, i) / C(v, i): read off the member record inside its
+    integral run, else an int where the division is exact and a Fraction
+    where it is not (the normalising gcd is paid only there).
 
     Every level is checked to lie in [0, k] before any arithmetic; the
     first one outside raises ValueError.
@@ -159,8 +196,10 @@ def lambda_levels(f: CodeFamily, levels) -> list[int | Fraction]:
     for i in levels:
         if not 0 <= i <= k:
             raise ValueError(f"level {i} outside [0, {k}]")
-    b = block_count(f)
-    return [exact_quotient(b * binom(k, i), binom(n, i)) for i in levels]
+    rec = member(f.r, f.m)
+    known = rec.levels
+    return [known[i] if i < len(known) else exact_quotient(rec.b * binom(k, i), binom(n, i))
+            for i in levels]
 
 
 def lambda_at(f: CodeFamily, i: int) -> int | Fraction:
@@ -230,7 +269,7 @@ def scan_members(r: int, t: int, m_lo: int | None = None, m_hi: int | None = Non
     effective (strengthened) strength; the list is None for a member whose
     block size k is below that strength."""
     for m in scan_range(r, m_lo, m_hi):
-        f = CodeFamily(m, r)
+        f = member(r, m).family
         t_eff = apply_strengthening(f, t)
         levels = range(f.am_strength + 1, t_eff + 1)
         yield m, None if t_eff > f.k else list(zip(levels, lambda_levels(f, levels)))

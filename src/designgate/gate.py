@@ -25,25 +25,23 @@ annihilated, so for a self-orthogonal design (all odd n_i vanish)
 The right side is a nonnegative integer for any real design, so a
 non-integral quotient certifies that no design with these parameters
 exists.  That quotient test is :func:`integrality_gate`.  It evaluates
-F(u) = sum_h d_h (u)_h, d_h = c_h lambda_h, by Horner's rule on the d_h,
-memoised per (family, m, l); the moment route above is its test oracle.
+F(u) = sum_h d_h (u)_h, d_h = c_h lambda_h, by Horner's rule on the d_h held
+by :func:`designgate.families.member`; the moment route is its test oracle.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 from ._record import Record
-from .combinat import binom, elem_sym, exact_quotient, falling, stirling2
+from .combinat import annihilator_divisor, binom, exact_quotient, falling, offset_coefficients
 from .families import (
     AM_STRENGTHS,
     T_CAP,
     CodeFamily,
     DesignParams,
     NonIntegralLambdaError,
-    lambda_levels,
+    check_lambda_levels,
     lambda_vector,
+    member,
     nonintegral_levels,
 )
 
@@ -115,41 +113,17 @@ def moment_vector(u: int, lambdas: list[int | Fraction]) -> MomentVector:
     return MomentVector(u, tuple(int(v) for v in vals))
 
 
-@lru_cache(maxsize=None)
-def _coefficients_cached(xs: tuple[int, ...]) -> tuple[int, ...]:
-    l = len(xs)
-    sigma = elem_sym(list(xs))
-    out = [0] * (l + 1)
-    for theta in range(l + 1):
-        sign = -sigma[theta] if theta % 2 else sigma[theta]
-        for h in range(l - theta + 1):
-            out[h] += sign * stirling2(l - theta, h)
-    return tuple(out)
-
-
 def offset_moment_coefficients(offsets: OffsetSet) -> list[int]:
     """Coefficients c_0..c_l with F = sum_h c_h A_h for the given offsets."""
-    return list(_coefficients_cached(offsets.xs))
+    return list(offset_coefficients(offsets.xs))
 
 
 def offset_product_sum(offsets: OffsetSet, moments: MomentVector) -> int:
     """F = sum_i (i - x_1)...(i - x_l) n_i, evaluated from the moments."""
-    cs = _coefficients_cached(offsets.xs)
+    cs = offset_coefficients(offsets.xs)
     if len(moments) < len(cs):
         raise ValueError(f"need at least {len(cs)} moments, got {len(moments)}")
     return sum(c * a for c, a in zip(cs, moments.entries))
-
-
-def annihilator_divisor(l: int) -> int:
-    """prod_j (2l - x_j) over the default offsets, which is 2^l * l!."""
-    if l < 1:
-        raise ValueError("need l >= 1")
-    divisor = 1
-    for x in range(0, 2 * l, 2):
-        divisor *= 2 * l - x
-    if divisor != 2**l * math.factorial(l):
-        raise ArithmeticError(f"annihilator divisor {divisor} != 2^{l} * {l}!")
-    return divisor
 
 
 def residual_coefficient(i: int, l: int) -> int:
@@ -194,29 +168,16 @@ class GateResult(Record):
         return PASS if self.integral else FAIL_NONINTEGER
 
 
-@lru_cache(maxsize=None)
-def _gate_polynomial(r: int, m: int, t: int) -> tuple[tuple[int, ...], int]:
-    """(d_0..d_t, 2^t t!) with F(u) = sum_h d_h (u)_h, d_h = c_h lambda_h, for
-    gate (r, m, t); NonIntegralLambdaError (not memoised) on a bad lambda."""
-    f = CodeFamily(m, r)
-    lambdas = lambda_levels(f, range(t + 1))
-    bad = nonintegral_levels(enumerate(lambdas))
-    if bad:
-        raise NonIntegralLambdaError(f, bad)
-    cs = _coefficients_cached(OffsetSet.default(t).xs)
-    return tuple(c * lam for c, lam in zip(cs, lambdas)), annihilator_divisor(t)
-
-
 def integrality_gate(f: CodeFamily, t: int, u: int | None = None) -> GateResult:
     """Run the default-offset integrality test of strength t at reference
     weight u (u = k if omitted) on family member f: F(u) by Horner's rule
-    on the d_h memoised per (family, m, t).
+    on the d_h of the member record (:func:`designgate.families.member`).
 
     A FAIL_NONINTEGER verdict certifies that the minimum-weight support
     design of f cannot be a t-design: the count at the first unconstrained
     even intersection level would be non-integral.  Non-integral lambda
     levels raise NonIntegralLambdaError before any gate arithmetic (the
-    hypothesis already fails one layer down).
+    hypothesis already fails one layer down), naming every failing level.
     """
     r, m = f.r, f.m
     k, n = 4 * m + 4, 24 * m + 8 * r
@@ -228,7 +189,10 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None) -> GateResult:
         raise ValueError(f"t = {t} above the supported cap {T_CAP}")
     if u % 4 or not k <= u <= n - k:
         raise ValueError(f"u must be a weight multiple of 4 with {k} <= u <= {n - k}, got {u}")
-    d, divisor = _gate_polynomial(r, m, t)
+    gates = member(r, m).gates
+    if t >= len(gates):  # t lies above the member's run of integral levels
+        raise NonIntegralLambdaError(f, check_lambda_levels(f, range(t + 1)))
+    d, divisor = gates[t]
     F = d[t]
     for h in range(t - 1, -1, -1):
         F = d[h] + (u - h) * F

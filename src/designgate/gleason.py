@@ -30,16 +30,17 @@ polynomial coefficients (:data:`_RECURRENCE_Q`) seeded with w_0 = 1, w_1 =
 Three checks raise ArithmeticError: every division is exact, the centre is
 palindromic (w_{a+1} = w_{a-1}, for a >= 2), and the mirrored enumerator
 sums to 2^(n/2), its value at x = y = 1, where g1 = 16 and g2 = 0.  The
-drivers need only A_k = -c_{m+1} (:func:`designgate.families.block_count`)
-and the sign of the next coefficient (:func:`next_weight_count`), both from
-the Lagrange-Buermann coefficients c_j of one expansion, which live in
-:mod:`designgate.families`.  The series prefix is the test oracle for all three.
+drivers need only A_k = -c_{m+1} and the sign of A_{k+4}, both read from
+the member record of :func:`designgate.families.member`, which takes them
+from the Lagrange-Buermann coefficients c_j of one expansion;
+:func:`next_weight_count` gives A_{k+4} at any length by the same helper.
+The series prefix is the test oracle for all three.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .families import _burmann_coefficient, _exact_div, _phi_power_prefix
+from .families import _burmann_coefficient, _exact_div, _extremal_counts, _phi_power_prefix
 
 # Largest family length the scans ever request: 24*163 + 16.
 LENGTH_CAP = 24 * 163 + 16
@@ -190,21 +191,7 @@ def min_weight_count(n: int) -> int:
 
 
 def next_weight_count(n: int) -> int:
-    """Coefficient A_{k+4} of the extremal enumerator at the weight above the
-    minimum k = 4*floor(n/24) + 4.
-
-    With a = n/8 and m = floor(n/24), the extremal enumerator over x^n is
-    PHI^a * sum_{j<=m} c_j g^j = 1 - sum_{j>m} c_j PHI^(a-3j) PSI^j, where
-    c_j = [g^j] PHI^(-a).  Its coefficients at z^(m+1) and z^(m+2) therefore
-    involve c_{m+1} and c_{m+2} alone:
-
-        A_k     = -c_{m+1}
-        A_{k+4} = -c_{m+2} - c_{m+1} * (14a - 46(m+1)).
-
-    Here e = 3j - a - 1 is 2 - r and 5 - r, r = a - 3m, so each c_j is a
-    sum of at most 12 terms; the series prefix is the test oracle.
-    """
+    """A_{k+4} of the extremal enumerator of any valid length n, k = 4*floor(n/24)
+    + 4, unmemoised, by :func:`designgate.families._extremal_counts`."""
     _validate_length(n)
-    a, m = n // 8, n // 24
-    return (-_burmann_coefficient(a, m + 2)
-            - _burmann_coefficient(a, m + 1) * (14 * a - 46 * (m + 1)))
+    return _extremal_counts(n // 8, n // 24)[1]

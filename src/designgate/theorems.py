@@ -28,9 +28,8 @@ they remain valid since a 7-design is in particular a 6-design.
 from __future__ import annotations
 
 from . import reference_sets as ref
-from .families import AM_STRENGTHS, CodeFamily, M_MAXES, THEOREM_IDS, check_lambda_levels
-from .gate import GateResult, integrality_gate
-from .gleason import next_weight_count
+from .families import FAMILY_LABELS, M_MAXES, THEOREM_IDS, member
+from .gate import integrality_gate
 from .report import Report, gate_row, set_row, timestamp_now
 
 # A rung is (t, the offset lengths gated at strength t).  Its lambda levels
@@ -63,42 +62,33 @@ def _diff(label: str, computed, expected) -> list[str]:
     return [f"{label}: computed {sorted(got)} != reference {sorted(want)} ({'; '.join(parts)})"]
 
 
-def _gates_pass(f: CodeFamily, gate_ls: tuple[int, ...], gates: list[GateResult]) -> bool:
-    """Gate f at every offset length of ``gate_ls``, at u = k and then
-    u = k + 4, appending each result to ``gates``; False at the first
-    non-integral quotient."""
-    for l in gate_ls:
-        for u in (f.k, f.k + 4):
-            res = integrality_gate(f, l, u)
-            gates.append(res)
-            if not res.integral:
-                return False
-    return True
-
-
 def _run_ladder(r: int, stages, upto_t: int | None = None) -> list[tuple]:
     """Run family r's ladder over m in [1, m_max], stopping after strength
     ``upto_t`` when given.  Returns, per rung run, the tuple (its strength,
     the candidates passing its lambda filter, its gate results in execution
     order, its survivors)."""
-    candidates = list(range(1, M_MAXES[r] + 1))
-    runs, done = [], AM_STRENGTHS[r]
+    candidates, runs = list(range(1, M_MAXES[r] + 1)), []
     for t, gate_ls in stages:
         if upto_t is not None and t > upto_t:
             break
         passed, gates, survivors = [], [], []
         for m in candidates:
-            f = CodeFamily(m, r)
-            if check_lambda_levels(f, range(done + 1, t + 1)):
+            rec = member(r, m)
+            if len(rec.levels) <= t:  # lambda_t or a level below is not a count
                 continue
             passed.append(m)
-            if gate_ls and next_weight_count(f.n) <= 0:
+            f = rec.family
+            if gate_ls and rec.next_count <= 0:
                 raise ValueError(f"vacuous u = k + 4 gate at m = {m} of family {f.label}: "
                                  "no codewords there")
-            if _gates_pass(f, gate_ls, gates):
+            for res in (integrality_gate(f, l, u) for l in gate_ls for u in (f.k, f.k + 4)):
+                gates.append(res)
+                if not res.integral:
+                    break
+            else:
                 survivors.append(m)
         runs.append((t, passed, gates, survivors))
-        candidates, done = survivors, t
+        candidates = survivors
     return runs
 
 
@@ -126,16 +116,14 @@ def _report_24m(theorem_id: str, runs: list[tuple],
     views = (("u=k", 0, ref.THM2_ELIMINATED, ref.TABLE1_QUOTIENTS),
              ("u=k+4", 4, ref.THM3_ELIMINATED, ref.TABLE2_QUOTIENTS))
     for label, offset, eliminated, quotients in views:
-        gates = [res for res in gates7 if res.u == CodeFamily(res.m, 0).k + offset]
+        gates = [res for res in gates7 if res.u - member(0, res.m).family.k == offset]
         elim = [res.m for res in gates if not res.integral]
         report.rows += [gate_row(res, stage=7) for res in gates]
         report.rows.append(set_row(f"eliminated by {label} gate", elim, stage=7))
         mism += _diff(f"{theorem_id} {label} eliminated", elim, eliminated)
-        for res in gates:
-            want = quotients.get(res.m)
-            if want is not None and res.quotient != want:
-                mism.append(f"{theorem_id} {label} quotient at m={res.m}: "
-                            f"{res.quotient} != reference {want}")
+        mism += [f"{theorem_id} {label} quotient at m={res.m}: {res.quotient} != reference "
+                 f"{quotients[res.m]}" for res in gates
+                 if quotients.get(res.m, res.quotient) != res.quotient]
         if theorem_id == "thm2":
             return [m for m in M if m not in elim], mism
 
@@ -147,7 +135,7 @@ def _report_24m(theorem_id: str, runs: list[tuple],
         return survivors7, mism
 
     # thm4: the lambda_8 row is taken over all of lemma1's set.
-    cands8 = [m for m in M if not check_lambda_levels(CodeFamily(m, 0), (8,))]
+    cands8 = [m for m in M if len(member(0, m).levels) > 8]
     report.rows.append(set_row("lambda_8-integral candidates", cands8, stage=8))
     mism += _diff("thm4 lambda_8 candidates", cands8, ref.LAMBDA8_CANDIDATES)
     report.rows.append(set_row("not yet eliminated", left8, stage=8))
@@ -175,7 +163,7 @@ def run_theorem(theorem_id: str, timestamp: bool = True,
             raise ValueError(f"{theorem_id} starts at strength {stages[0][0]}; "
                              f"--t {upto_t} is below it")
     runs = _run_ladder(r, stages, upto_t)
-    report = Report(id=theorem_id, inputs={"family": CodeFamily(1, r).label,
+    report = Report(id=theorem_id, inputs={"family": FAMILY_LABELS[r],
                                            "m_range": [1, M_MAXES[r]]})
     if r == 0:
         surviving, mismatches = _report_24m(theorem_id, runs, report)

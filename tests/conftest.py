@@ -18,17 +18,21 @@ hypothesis.settings.load_profile("default")
 
 
 @pytest.fixture
-def block_count_calls(monkeypatch):
-    """The members passed to families.block_count while the test runs."""
-    calls = []
-    real = families.block_count
+def member_builds(monkeypatch):
+    """The (r, m) of each member record built while the test runs.  The
+    families.member memo is emptied before and after the test, so that the
+    count does not depend on which tests ran first."""
+    builds = []
+    real = families.Member
 
-    def counting(f):
-        calls.append(f)
-        return real(f)
+    def counting(f, *fields):
+        builds.append((f.r, f.m))
+        return real(f, *fields)
 
-    monkeypatch.setattr(families, "block_count", counting)
-    return calls
+    families.member.cache_clear()
+    monkeypatch.setattr(families, "Member", counting)
+    yield builds
+    families.member.cache_clear()
 
 
 @pytest.fixture

@@ -115,7 +115,7 @@ def test_scan_deterministic_across_jobs(capsys):
 @pytest.mark.parametrize("family,t,m_range", [
     ("24m", 6, None), ("24m", 7, (40, 90)), ("24m+8", 5, None), ("24m+16", 4, None),
 ])
-def test_scan_set_matches_admissible_scan(block_count_calls, capsys, family, t, m_range):
+def test_scan_set_matches_admissible_scan(member_builds, capsys, family, t, m_range):
     r = FAMILY_LABELS.index(family)
     lo, hi = m_range or (1, M_MAXES[r])
     args = ["scan", "--family", family, "--t", str(t), "--no-timestamp", "--format", "json"]
@@ -123,7 +123,7 @@ def test_scan_set_matches_admissible_scan(block_count_calls, capsys, family, t, 
         args += ["--m-min", str(lo), "--m-max", str(hi)]
     assert main(args) == 0
     data = json.loads(capsys.readouterr().out)
-    assert len(block_count_calls) == hi - lo + 1  # one per member
+    assert member_builds == [(r, m) for m in range(lo, hi + 1)]  # one b per member
     assert data["surviving_set"] == admissible_scan(r, t, *(m_range or ()))
     assert data["rows"][-1]["ms"] == data["surviving_set"]
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from designgate.combinat import binom
 from designgate.families import (
     M_MAXES,
+    T_CAP,
     CodeFamily,
     DesignParams,
     admissible_scan,
@@ -17,6 +18,7 @@ from designgate.families import (
     lambda_at,
     lambda_levels,
     lambda_vector,
+    member,
 )
 from designgate.gleason import min_weight_count
 
@@ -184,3 +186,24 @@ def test_admissible_scan_range_validation():
         admissible_scan(0, 6, 10, 5)
     with pytest.raises(ValueError):
         admissible_scan(0, 6, 1, 200)
+
+
+def test_member_records_match_the_independent_checker():
+    # perfbench/checker.py takes b from the Mallows-Sloane closed forms,
+    # A_{k+4} from its own Buermann loop and each level as a Fraction.
+    import checker
+
+    for r in range(3):
+        for m in range(1, M_MAXES[r] + 1):
+            rec = member(r, m)
+            f = rec.family
+            assert (f.r, f.m) == (r, m)
+            assert rec.b == checker.block_count(r, m), f
+            assert rec.next_count == checker.next_weight_count(f.n), f
+            j = len(rec.levels) - 1
+            # The ladder relies on lambda_0..lambda_s being counts everywhere.
+            assert f.am_strength <= j <= min(f.k, T_CAP), f
+            assert list(rec.levels) == [checker.level(r, m, i) for i in range(j + 1)], f
+            if j < min(f.k, T_CAP):
+                assert not checker.is_count(checker.level(r, m, j + 1)), f
+            assert len(rec.gates) == j + 1, f

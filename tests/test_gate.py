@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from designgate import gate
 from designgate.combinat import binom, exact_quotient, falling
 from designgate.families import (
     T_CAP,
@@ -166,7 +165,7 @@ def test_gate_m63_strength8_is_honestly_integral():
 
 
 def test_gate_matches_design_params_route_at_every_weight():
-    # integrality_gate takes every level from lambda_levels; the second
+    # integrality_gate takes every level from its member record; the second
     # route takes only lambda_t from design_params and derives the lower
     # levels with lambda_vector.
     f, t = CodeFamily(10, 2), 4
@@ -179,14 +178,14 @@ def test_gate_matches_design_params_route_at_every_weight():
         assert integrality_gate(f, t, u).F == expected, u
 
 
-def test_gate_computes_one_block_count(block_count_calls):
-    # The lambda levels are memoised per (family, m, t), so two weights of
-    # one member cost one block count between them.
-    gate._gate_polynomial.cache_clear()
+def test_gate_computes_one_block_count(member_builds):
+    # The gate polynomials live in the member record, built once per
+    # (family, m), so two weights of one member cost one block count
+    # between them.
     f = CodeFamily(8, 0)
     integrality_gate(f, 7, f.k)
     integrality_gate(f, 7, f.k + 4)
-    assert block_count_calls == [f]
+    assert member_builds == [(0, 8)]
 
 
 def test_gate_polynomial_matches_the_moment_route():

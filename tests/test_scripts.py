@@ -38,3 +38,13 @@ def test_deep_u_scan_finds_no_failing_weight_for_24m16_m23(t):
     proc = _run("deep_u_scan.py", "--family", "24m+16", "--m", "23", "--t", str(t))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(f"strength {t}, 95 weights, 0 vacuous, 0 failing\n")
+
+
+def test_deep_u_scan_refuses_nonintegral_lambda_levels_with_one_error_line():
+    # lambda_2 of family 24m+16 at m = 30 is not a count, so no strength-4
+    # gate exists there: one error line, exit 2, nothing on stdout.
+    proc = _run("deep_u_scan.py", "--family", "24m+16", "--m", "30", "--t", "4")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: non-integral block counts for [736, 368, 124] "
+                                  "(family 24m+16, m=30): lambda_2 = ")
+    assert proc.stderr.count("\n") == 1

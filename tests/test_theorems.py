@@ -4,6 +4,7 @@ import json
 import checker
 import pytest
 
+from designgate import families
 from designgate import reference_sets as ref
 from designgate.families import admissible_scan
 from designgate.report import render
@@ -183,6 +184,11 @@ def test_driver_report_matches_the_independent_checker(checker_reports, theorem_
 def test_vacuous_next_weight_gate_raises(monkeypatch, theorem_id, r, t):
     # The first member to reach a gate is the first of the stage's lambda scan.
     first = admissible_scan(r, t)[0]
-    monkeypatch.setattr("designgate.theorems.next_weight_count", lambda n: 0)
+
+    def without_next_weight(family, m):  # every member's A_{k+4} read as 0
+        rec = families.member(family, m)
+        return families.Member(rec.family, rec.b, 0, rec.levels, rec.gates)
+
+    monkeypatch.setattr("designgate.theorems.member", without_next_weight)
     with pytest.raises(ValueError, match=rf"vacuous u = k \+ 4 gate at m = {first}\b"):
         run_theorem(theorem_id, timestamp=False)
