@@ -1,5 +1,7 @@
 """Exact combinatorial primitives: binomials, falling factorials, Stirling
-numbers of the second kind, elementary symmetric polynomials, offset products.
+numbers of the second kind, elementary symmetric polynomials, and the
+falling-factorial coefficients of offset products, built one factor at a
+time.  Nothing here is memoised.
 
 All arithmetic in this package is exact.  Integers are plain Python ``int``
 (arbitrary precision); rationals are ``fractions.Fraction``, which is always
@@ -11,7 +13,6 @@ is loaded only once a value is non-integral.  Floating point is never used.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def binom(n: int, k: int) -> int:
@@ -43,18 +44,16 @@ def falling(x, m: int):
     return out
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k) via the recurrence
-    S(n, k) = k*S(n-1, k) + S(n-1, k-1), with S(n, 0) and S(0, k) the
-    Kronecker deltas."""
+    """Stirling number of the second kind S(n, k), row by row from S(0, .)
+    by the recurrence S(n, k) = k*S(n-1, k) + S(n-1, k-1), with S(n, 0) and
+    S(0, k) the Kronecker deltas."""
     if n < 0 or k < 0:
         raise ValueError("stirling2 needs n, k >= 0")
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    if k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    row = [1] + [0] * k  # S(0, 0..k)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
 
 
 def stirling2_by_formula(n: int, k: int) -> int:
@@ -87,18 +86,18 @@ def elem_sym(xs: list[int]) -> list[int]:
     return coeffs
 
 
-@lru_cache(maxsize=None)
-def offset_coefficients(xs: tuple[int, ...]) -> tuple[int, ...]:
-    """c_0..c_l with prod_j (i - x_j) = sum_h c_h (i)_h for the l offsets xs:
-    c_h = sum_theta (-1)^theta sigma_theta S(l - theta, h)."""
-    l = len(xs)
-    sigma = elem_sym(list(xs))
-    out = [0] * (l + 1)
-    for theta in range(l + 1):
-        sign = -sigma[theta] if theta % 2 else sigma[theta]
-        for h in range(l - theta + 1):
-            out[h] += sign * stirling2(l - theta, h)
-    return tuple(out)
+def offset_coefficients(xs) -> list[int]:
+    """c_0..c_l with prod_j (i - x_j) = sum_h c_h (i)_h for the l offsets xs,
+    one factor at a time: (i)_h (i - x) = (i)_{h+1} + (h - x)(i)_h, so a
+    factor (i - x) sends c_h to c_{h-1} + (h - x) c_h, updated in place
+    from the top down."""
+    c = [1]
+    for x in xs:
+        c.append(0)
+        for h in range(len(c) - 1, 0, -1):
+            c[h] = c[h - 1] + (h - x) * c[h]
+        c[0] *= -x
+    return c
 
 
 def annihilator_divisor(l: int) -> int:

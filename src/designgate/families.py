@@ -172,7 +172,7 @@ def member(r: int, m: int) -> Member:
             break
         levels.append(lam)
     for t in range(f.am_strength, len(levels)):
-        cs = offset_coefficients(tuple(range(0, 2 * t, 2)))
+        cs = offset_coefficients(range(0, 2 * t, 2))
         gates.append((tuple(c * lam for c, lam in zip(cs, levels)), annihilator_divisor(t)))
     return Member(f, b, next_count, tuple(levels), tuple(gates))
 

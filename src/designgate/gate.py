@@ -12,10 +12,11 @@ the design strength, the weighted sum
 
     F = sum_i (i - x_1)(i - x_2)...(i - x_l) n_i
 
-is computable from the moments alone, by expanding the product into power
-sums and converting powers to falling factorials with Stirling numbers:
+is computable from the moments alone.  Write the product in the
+falling-factorial basis, prod_j (i - x_j) = sum_h c_h (i)_h, one factor at a
+time by (i)_h (i - x) = (i)_{h+1} + (h - x)(i)_h; then
 
-    F = sum_theta (-1)^theta sigma_{theta,l} sum_h S(l - theta, h) A_h.
+    F = sum_h c_h A_h.
 
 With the default offsets 0, 2, ..., 2(l-1), every even level below 2l is
 annihilated, so for a self-orthogonal design (all odd n_i vanish)
@@ -115,7 +116,7 @@ def moment_vector(u: int, lambdas: list[int | Fraction]) -> MomentVector:
 
 def offset_moment_coefficients(offsets: OffsetSet) -> list[int]:
     """Coefficients c_0..c_l with F = sum_h c_h A_h for the given offsets."""
-    return list(offset_coefficients(offsets.xs))
+    return offset_coefficients(offsets.xs)
 
 
 def offset_product_sum(offsets: OffsetSet, moments: MomentVector) -> int:
@@ -191,6 +192,8 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None) -> GateResult:
         raise ValueError(f"u must be a weight multiple of 4 with {k} <= u <= {n - k}, got {u}")
     gates = member(r, m).gates
     if t >= len(gates):  # t lies above the member's run of integral levels
+        if t > k:
+            raise ValueError(f"t = {t} above the block size {k}")
         raise NonIntegralLambdaError(f, check_lambda_levels(f, range(t + 1)))
     d, divisor = gates[t]
     F = d[t]

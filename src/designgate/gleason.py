@@ -20,11 +20,10 @@ coefficient lists over the variable z = y^4/x^4:
 
 Each basis element j has leading z-term z^j, so forcing A_0, A_4, ...,
 A_{4 floor(n/24)} makes the linear system for the combination unit
-triangular: the combination is found by one pass of forward elimination,
-about n^2/200 big-integer steps, which serves only :func:`min_weight_count`
-and the tests.  g1 and g2 are invariant under x <-> y, so every combination
-is palindromic (A_w = A_{n-w}): a full enumerator needs only w_i = A_{4i} for
-i <= a = n/8, which it takes in n/8 steps from a linear recurrence with
+triangular; its forward elimination is the tests' oracle.  g1 and g2 are
+invariant under x <-> y, so every combination is palindromic (A_w =
+A_{n-w}): a full enumerator needs only w_i = A_{4i} for i <= a = n/8,
+which it takes in n/8 steps from a linear recurrence with
 polynomial coefficients (:data:`_RECURRENCE_Q`) seeded with w_0 = 1, w_1 =
 ... = w_m = 0 and w_{m+1} = -c_{m+1}, m = floor(n/24), and run to w_{a+1}.
 Three checks raise ArithmeticError: every division is exact, the centre is
@@ -33,8 +32,8 @@ sums to 2^(n/2), its value at x = y = 1, where g1 = 16 and g2 = 0.  The
 drivers need only A_k = -c_{m+1} and the sign of A_{k+4}, both read from
 the member record of :func:`designgate.families.member`, which takes them
 from the Lagrange-Buermann coefficients c_j of one expansion;
-:func:`next_weight_count` gives A_{k+4} at any length by the same helper.
-The series prefix is the test oracle for all three.
+:func:`min_weight_count` and :func:`next_weight_count` give A_k and A_{k+4}
+at any length by the same helper.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ LENGTH_CAP = 24 * 163 + 16
 
 
 def _phi_power(a: int, trunc: int) -> list[int]:
-    """PHI^a truncated to z^trunc."""
+    """PHI^a truncated to z^trunc: the start of the tests' series elimination."""
     return _phi_power_prefix(a, trunc + 1)
 
 
@@ -56,31 +55,6 @@ def _validate_length(n: int) -> None:
         raise ValueError(f"length must be a positive multiple of 8, got {n}")
     if n > LENGTH_CAP:
         raise ValueError(f"length {n} exceeds the supported cap {LENGTH_CAP}")
-
-
-def _extremal_prefix(n: int, trunc: int) -> list[int]:
-    """Coefficients [A_0, A_4, A_8, ...] of the extremal enumerator of
-    length n, up to weight 4*trunc.  The unit-triangular elimination: start
-    from basis element 0 (coefficient forced to 1 by A_0 = 1) and cancel
-    each A_{4j} in turn with basis element j, z^j Q for Q = PHI^e (1 - z)^(4j),
-    e = a - 3j, added in the same pass that makes it, scaled by -A_{4j}, from
-    (1 - z) PHI Q' = (-4j PHI + e (1 - z) PHI') Q, (1 - z) PHI = 1 + 13z - 13z^2 - z^3."""
-    _validate_length(n)
-    a = n // 8
-    nz = n // 24  # number of forced-zero low coefficients; min weight 4*nz + 4
-    w = _phi_power(a, trunc)
-    for j in range(1, min(nz, trunc) + 1):
-        c = -w[j]
-        if c:
-            e = a - 3 * j
-            m1, m2, m3 = 14 * e - 4 * j, -12 * e - 56 * j - 13, -2 * e - 4 * j - 2  # at k = 1
-            q1, q2, q3 = c, 0, 0  # c q_(k-1), c q_(k-2), c q_(k-3), times m1, m2, m3
-            w[j] = 0
-            for k in range(1, trunc - j + 1):
-                q1, q2, q3 = _exact_div(m1 * q1 + m2 * q2 + m3 * q3, k), q1, q2
-                w[j + k] += q1
-                m1, m2, m3 = m1 - 13, m2 + 13, m3 + 1
-    return w
 
 
 # sum_{s=0..R} p_s(i) w_{i+s} = 0 on w_i = A_{4i}, with N = n/4, m = floor(n/24),
@@ -177,11 +151,10 @@ def extremal_weight_enumerator(n: int) -> WeightEnumerator:
 
 def min_weight_count(n: int) -> int:
     """Block count of the minimum-weight support design: the coefficient
-    A_{4 floor(n/24) + 4} of the extremal enumerator, read off the series:
-    the test oracle of the Lagrange-Buermann count
-    :func:`designgate.families.block_count` that the drivers use."""
-    nz = n // 24
-    b = _extremal_prefix(n, nz + 2)[nz + 1]
+    A_k, k = 4*floor(n/24) + 4, of the extremal enumerator of any valid
+    length n, unmemoised, by :func:`designgate.families._extremal_counts`."""
+    _validate_length(n)
+    b = _extremal_counts(n // 8, n // 24)[0]
     if b <= 0:
         raise ValueError(
             f"extremal enumerator of length {n} has nonpositive minimum-weight "

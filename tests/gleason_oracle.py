@@ -1,9 +1,10 @@
 """Test oracle for :mod:`designgate.gleason`: the Gleason basis as explicit
 homogeneous polynomials in x and y, and the extremal combination solved
 against them over the rationals.  The library works on coefficient series
-instead; the tests check that both routes agree.  Also the two-pass series
-elimination, which builds each unscaled basis element as a list before
-adding a multiple of it; the library does both in one pass.
+instead; the tests check that both routes agree.  Also the series
+elimination that the library's recurrence and Lagrange-Buermann counts are
+checked against: it builds each basis element as a list before adding a
+multiple of it.
 """
 
 from __future__ import annotations

@@ -58,6 +58,11 @@ def test_m_outside_family_range_exits_2_before_output(capsys, args, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_gate_strength_above_k_exits_2_before_output(capsys):
+    assert main(["gate", "--family", "24m", "--m", "1", "--t", "9"]) == 2
+    assert capsys.readouterr() == ("", "error: t = 9 above the block size 8\n")
+
+
 def test_lambda_hamming_base_case(capsys):
     # m = 0 of family 24m+8 is the [8, 4, 4] Hamming code: a 3-(8, 4, 1) design.
     assert main(["lambda", "--family", "24m+8", "--m", "0", "--t", "3"]) == 0

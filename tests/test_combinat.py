@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from designgate.combinat import binom, elem_sym, falling, stirling2, stirling2_by_formula
+from designgate.combinat import (
+    binom,
+    elem_sym,
+    falling,
+    offset_coefficients,
+    stirling2,
+    stirling2_by_formula,
+)
 
 
 def test_binom_values():
@@ -91,6 +98,16 @@ def test_elem_sym_matches_naive_expansion(xs):
     l = len(xs)
     expected = [(-1) ** (l - d) * sig[l - d] for d in range(l + 1)]
     assert naive == expected
+
+
+@given(st.lists(st.integers(min_value=-15, max_value=15), max_size=9))
+def test_offset_coefficients_match_the_stirling_sum(xs):
+    # prod_j (i - x_j) = sum_theta (-1)^theta sigma_theta i^(l - theta), and
+    # i^p = sum_h S(p, h) (i)_h, so c_h = sum_theta (-1)^theta sigma_theta S(l - theta, h).
+    l, sigma = len(xs), elem_sym(xs)
+    assert offset_coefficients(xs) == [
+        sum((-1) ** theta * sigma[theta] * stirling2(l - theta, h) for theta in range(l + 1))
+        for h in range(l + 1)]
 
 
 def test_binom_times_factorial_is_falling():

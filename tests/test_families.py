@@ -20,7 +20,7 @@ from designgate.families import (
     lambda_vector,
     member,
 )
-from designgate.gleason import min_weight_count
+from gleason_oracle import two_pass_prefix
 
 M_LEMMA1 = [5, 8, 15, 19, 35, 40, 41, 42, 50, 51, 52, 55, 57, 59, 60, 63, 65,
             74, 75, 76, 80, 86, 90, 93, 100, 101, 104, 105, 107, 118, 125, 127,
@@ -51,7 +51,7 @@ def test_block_count_closed_form_matches_enumerator(r):
     ms = sorted({1, M_MAXES[r], *range(5 if r == 0 else 0, M_MAXES[r] + 1, 5)})
     for m in ms:
         f = CodeFamily(m, r)
-        assert block_count(f) == min_weight_count(f.n), f
+        assert block_count(f) == two_pass_prefix(f.n, m + 2)[m + 1], f
 
 
 def test_lambda_base_closed_form():
@@ -88,11 +88,11 @@ def test_lambda_levels_exact_and_int_exactly_when_integral():
 
 def test_extend_lambda_matches_lambda_at():
     # Second route: extend the base level, lambda_t = lambda_s * C(k-s, t-s) /
-    # C(v-s, t-s), with lambda_s from the Gleason enumerator's block count.
+    # C(v-s, t-s), with lambda_s from the series elimination's block count.
     for m, r in [(4, 0), (9, 1), (12, 2)]:
         f = CodeFamily(m, r)
         s = f.am_strength
-        base = Fraction(min_weight_count(f.n) * binom(f.k, s), binom(f.n, s))
+        base = Fraction(two_pass_prefix(f.n, m + 1)[m + 1] * binom(f.k, s), binom(f.n, s))
         for t in range(s, s + 4):
             extended = base * Fraction(binom(f.k - s, t - s), binom(f.n - s, t - s))
             assert extended == lambda_at(f, t) == design_params(f, t).lambda_t, (f, t)

@@ -245,6 +245,8 @@ def test_gate_input_validation():
         integrality_gate(f, 4)
     with pytest.raises(ValueError, match=r"^t = 13 above the supported cap 12$"):
         integrality_gate(f, 13)
+    with pytest.raises(ValueError, match=r"^t = 9 above the block size 8$"):
+        integrality_gate(CodeFamily(1, 0), 9)
     with pytest.raises(ValueError, match=r"^u must be a weight multiple of 4 with "
                                          r"36 <= u <= 156, got 35$"):
         integrality_gate(f, 7, 35)

@@ -13,7 +13,6 @@ from designgate.combinat import binom
 from designgate.families import M_MAXES, CodeFamily, _burmann_coefficient, block_count
 from designgate.gleason import (
     LENGTH_CAP,
-    _extremal_prefix,
     _recurrence_prefix,
     extremal_weight_enumerator,
     min_weight_count,
@@ -74,20 +73,12 @@ def test_enumerator_invariants(n):
 
 @pytest.mark.parametrize("n", [8, 24, 48, 136, 568, 696, 1000, 1512])
 def test_mirrored_enumerator_matches_full_series(n):
-    # The enumerator is solved to weight n/2 and mirrored; the series
-    # solved all the way to weight n, unmirrored, must agree everywhere.
+    # The enumerator is solved to weight n/2 and mirrored; the oracle's
+    # series solved all the way to weight n, unmirrored, must agree everywhere.
     full = [0] * (n + 1)
-    for i, a in enumerate(_extremal_prefix(n, n // 4)):
+    for i, a in enumerate(two_pass_prefix(n, n // 4)):
         full[4 * i] = a
     assert list(extremal_weight_enumerator(n).coefficients) == full
-
-
-@pytest.mark.parametrize("n", [8, 16, 24, 48, 568, 1512, LENGTH_CAP])
-def test_one_pass_elimination_matches_the_two_pass_oracle(n):
-    # n // 8 is what the enumerator solves, n // 4 the whole series, and
-    # n // 24 + 2 what min_weight_count reads.
-    for trunc in (n // 8, n // 4, n // 24 + 2):
-        assert _extremal_prefix(n, trunc) == two_pass_prefix(n, trunc), trunc
 
 
 def test_enumerator_sum_check_rejects_bad_series(monkeypatch):
@@ -160,9 +151,10 @@ def recurrence_prefixes() -> dict[int, list[int]]:
 
 
 def test_recurrence_matches_the_pinned_elimination_digest_at_every_length():
-    """The digest was made once from the series elimination (about 11 s):
+    """The digest comes from the series elimination; the oracle re-derives
+    it (about 11 s):
 
-        hashlib.sha256("".join(f"{n}:{','.join(map(str, _extremal_prefix(n, n // 8)))};"
+        hashlib.sha256("".join(f"{n}:{','.join(map(str, two_pass_prefix(n, n // 8)))};"
                                for n in range(8, LENGTH_CAP + 1, 8)).encode()).hexdigest()
     """
     h = hashlib.sha256()
@@ -179,7 +171,7 @@ def test_recurrence_matches_the_live_elimination():
     for r in range(3):
         lengths += [n for n in prefixes if n % 24 == 8 * r][-3:]
     for n in lengths:
-        assert prefixes[n] == _extremal_prefix(n, n // 8), n
+        assert prefixes[n] == two_pass_prefix(n, n // 8), n
 
 
 @pytest.mark.parametrize("n", [24, 48, 72, 104, 136])
@@ -208,7 +200,7 @@ def test_next_weight_count_matches_series(r):
     for m in sorted({1, M_MAXES[r], *range(5 if r == 0 else 0, M_MAXES[r] + 1, 5)}):
         n = 24 * m + 8 * r
         nz = n // 24
-        assert next_weight_count(n) == _extremal_prefix(n, nz + 2)[nz + 2], n
+        assert next_weight_count(n) == two_pass_prefix(n, nz + 2)[nz + 2], n
 
 
 def test_next_weight_count_closed_sum_matches_the_full_buermann_loop():

@@ -1,4 +1,4 @@
-"""The package's memos: which exist, and what the member memo saves.
+"""The package's one memo, families.member, and what it saves.
 
 A new memo must show in a benchmark that it pays for itself; the static
 test below makes adding one a visible change to this file."""
@@ -22,7 +22,7 @@ def _is_memo(node) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "functools")
 
 
-def test_the_package_has_exactly_three_memos():
+def test_the_package_has_exactly_one_memo():
     decorated, uses = set(), 0
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -31,7 +31,7 @@ def test_the_package_has_exactly_three_memos():
                 for dec in node.decorator_list:
                     if _is_memo(dec.func if isinstance(dec, ast.Call) else dec):
                         decorated.add(f"{path.stem}.{node.name}")
-    assert decorated == {"combinat.stirling2", "combinat.offset_coefficients", "families.member"}
+    assert decorated == {"families.member"}
     assert uses == len(decorated)  # no memo is made other than by decorating a def
 
 
