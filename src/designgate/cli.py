@@ -204,6 +204,8 @@ def main(argv: list[str] | None = None) -> int:
         out = getattr(args, "out", None)  # before the work, so a bad --out wastes none
         if out and not os.path.isdir(os.path.dirname(out) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+        if out and os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ member from one record, :func:`member`, built once per process.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from ._record import Record
 from .combinat import annihilator_divisor, binom, exact_quotient, offset_coefficients
@@ -150,9 +151,13 @@ def _extremal_counts(a: int, m: int) -> tuple[int, int]:
 class Member(Record):
     """One family member as every layer reads it: its CodeFamily, b = A_k,
     A_{k+4}, the leading run lambda_0..lambda_j (j <= min(k, T_CAP)) of
-    levels that are nonnegative integers, and gates[t] = (d_0..d_t, 2^t t!)
-    for base strength s <= t <= j (None for t < s): the default-offset gate
-    polynomial F(u) = sum_h d_h (u)_h, d_h = c_h lambda_h, of strength t."""
+    levels that are nonnegative integers, and, for base strength s <= t <= j
+    (None for t < s), the default-offset gate polynomial F(u) = sum_h d_h
+    (u)_h, d_h = c_h lambda_h, of strength t as its Horner steps:
+
+        gates[t] = (d_t, ((d_{t-1}, t-1), ..., (d_0, 0)), 2^t t!),
+
+    so that F = d_t, then F = d + (u - h) * F for each step (d, h)."""
 
     __slots__ = ("family", "b", "next_count", "levels", "gates")
 
@@ -172,8 +177,9 @@ def member(r: int, m: int) -> Member:
             break
         levels.append(lam)
     for t in range(f.am_strength, len(levels)):
-        cs = offset_coefficients(range(0, 2 * t, 2))
-        gates.append((tuple(c * lam for c, lam in zip(cs, levels)), annihilator_divisor(t)))
+        # d_h = c_h lambda_h for h = t, t-1, ..., 0: the Horner order
+        d = map(mul, offset_coefficients(range(0, 2 * t, 2))[::-1], levels[t::-1])
+        gates.append((next(d), tuple(zip(d, range(t - 1, -1, -1))), annihilator_divisor(t)))
     return Member(f, b, next_count, tuple(levels), tuple(gates))
 
 

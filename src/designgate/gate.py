@@ -26,8 +26,10 @@ annihilated, so for a self-orthogonal design (all odd n_i vanish)
 The right side is a nonnegative integer for any real design, so a
 non-integral quotient certifies that no design with these parameters
 exists.  That quotient test is :func:`integrality_gate`.  It evaluates
-F(u) = sum_h d_h (u)_h, d_h = c_h lambda_h, by Horner's rule on the d_h held
-by :func:`designgate.families.member`; the moment route is its test oracle.
+F(u) = sum_h d_h (u)_h, d_h = c_h lambda_h, by Horner's rule, (u)_h = (u)_{h-1}
+(u - h + 1): :func:`designgate.families.member` holds each gate as d_t and
+the steps (d_{t-1}, t-1), ..., (d_0, 0), and a cell starts from F = d_t and
+runs F = d + (u - h) * F over them.  The moment route is its test oracle.
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ class GateResult(Record):
 def integrality_gate(f: CodeFamily, t: int, u: int | None = None) -> GateResult:
     """Run the default-offset integrality test of strength t at reference
     weight u (u = k if omitted) on family member f: F(u) by Horner's rule
-    on the d_h of the member record (:func:`designgate.families.member`).
+    on the gate steps of the member record (:func:`designgate.families.member`),
+    F = d_t, then F = d + (u - h) * F for (d, h) = (d_{t-1}, t-1), ..., (d_0, 0).
 
     A FAIL_NONINTEGER verdict certifies that the minimum-weight support
     design of f cannot be a t-design: the count at the first unconstrained
@@ -195,10 +198,9 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None) -> GateResult:
         if t > k:
             raise ValueError(f"t = {t} above the block size {k}")
         raise NonIntegralLambdaError(f, check_lambda_levels(f, range(t + 1)))
-    d, divisor = gates[t]
-    F = d[t]
-    for h in range(t - 1, -1, -1):
-        F = d[h] + (u - h) * F
+    F, steps, divisor = gates[t]
+    for d, h in steps:
+        F = d + (u - h) * F
     q, rem = divmod(F, divisor)
     return GateResult(r, m, t, u, F, exact_quotient(F, divisor) if rem else q)
 

@@ -28,12 +28,13 @@ polynomial coefficients (:data:`_RECURRENCE_Q`) seeded with w_0 = 1, w_1 =
 ... = w_m = 0 and w_{m+1} = -c_{m+1}, m = floor(n/24), and run to w_{a+1}.
 Three checks raise ArithmeticError: every division is exact, the centre is
 palindromic (w_{a+1} = w_{a-1}, for a >= 2), and the mirrored enumerator
-sums to 2^(n/2), its value at x = y = 1, where g1 = 16 and g2 = 0.  The
+sums to 2^(n/2), its value at x = y = 1, where g1 = 16 and g2 = 0; that sum,
+2 * sum(w_0..w_a) - w_a, is taken on the half before it is mirrored.  The
 drivers need only A_k = -c_{m+1} and the sign of A_{k+4}, both read from
 the member record of :func:`designgate.families.member`, which takes them
 from the Lagrange-Buermann coefficients c_j of one expansion;
-:func:`min_weight_count` and :func:`next_weight_count` give A_k and A_{k+4}
-at any length by the same helper.
+:func:`min_weight_count` gives A_k = -c_{m+1} and :func:`next_weight_count`
+A_{k+4} at any length from the same coefficients.
 """
 
 from __future__ import annotations
@@ -140,21 +141,23 @@ def extremal_weight_enumerator(n: int) -> WeightEnumerator:
     """The extremal enumerator of length n: the unique basis combination with
     A_0 = 1 and A_4 = ... = A_{4 floor(n/24)} = 0, run by its recurrence up
     to weight n/2 and mirrored by A_w = A_{n-w}.  Raises ArithmeticError
-    unless the coefficients sum to 2^(n/2)."""
+    unless the coefficients sum to 2^(n/2), checked on the computed half
+    before the mirrored list is built."""
     prefix = _recurrence_prefix(n)
+    if 2 * sum(prefix) - prefix[-1] != 2 ** (n // 2):  # the sum of the mirrored list
+        raise ArithmeticError(f"extremal enumerator of length {n} does not sum to 2^{n // 2}")
     coeffs = [0] * (n + 1)
     coeffs[::4] = prefix + prefix[-2::-1]
-    if sum(coeffs) != 2 ** (n // 2):
-        raise ArithmeticError(f"extremal enumerator of length {n} does not sum to 2^{n // 2}")
     return WeightEnumerator(n, tuple(coeffs))
 
 
 def min_weight_count(n: int) -> int:
     """Block count of the minimum-weight support design: the coefficient
     A_k, k = 4*floor(n/24) + 4, of the extremal enumerator of any valid
-    length n, unmemoised, by :func:`designgate.families._extremal_counts`."""
+    length n, unmemoised: -c_{m+1}, m = floor(n/24), by one
+    :func:`designgate.families._burmann_coefficient` evaluation."""
     _validate_length(n)
-    b = _extremal_counts(n // 8, n // 24)[0]
+    b = -_burmann_coefficient(n // 8, n // 24 + 1)
     if b <= 0:
         raise ValueError(
             f"extremal enumerator of length {n} has nonpositive minimum-weight "

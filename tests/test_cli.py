@@ -268,6 +268,31 @@ def test_out_in_missing_directory_exits_3_before_the_work(tmp_path, capsys, monk
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gate", "--family", "24m", "--m", "8", "--t", "7"],
+    ["theorem", "thm2"],
+], ids=lambda argv: argv[0])
+def test_out_naming_a_directory_exits_3_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    from designgate import gate, theorems
+
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((gate, "integrality_gate"), (theorems, "run_theorem")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"i/o error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert calls == []
+    assert not list((tmp_path / "store").rglob("gates.jsonl"))
+
+
 def test_wenum(capsys):
     assert main(["wenum", "--n", "24"]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from designgate.combinat import binom
+from designgate.combinat import binom, falling, offset_coefficients
 from designgate.families import (
     M_MAXES,
     T_CAP,
@@ -20,6 +21,7 @@ from designgate.families import (
     lambda_vector,
     member,
 )
+from designgate.gate import integrality_gate
 from gleason_oracle import two_pass_prefix
 
 M_LEMMA1 = [5, 8, 15, 19, 35, 40, 41, 42, 50, 51, 52, 55, 57, 59, 60, 63, 65,
@@ -203,7 +205,18 @@ def test_member_records_match_the_independent_checker():
             j = len(rec.levels) - 1
             # The ladder relies on lambda_0..lambda_s being counts everywhere.
             assert f.am_strength <= j <= min(f.k, T_CAP), f
-            assert list(rec.levels) == [checker.level(r, m, i) for i in range(j + 1)], f
+            checker_levels = [checker.level(r, m, i) for i in range(j + 1)]
+            assert list(rec.levels) == checker_levels, f
             if j < min(f.k, T_CAP):
                 assert not checker.is_count(checker.level(r, m, j + 1)), f
             assert len(rec.gates) == j + 1, f
+            assert rec.gates[:f.am_strength] == (None,) * f.am_strength, f
+            for t in range(f.am_strength, j + 1):
+                # Horner steps h = t-1, ..., 0 on d_h = c_h lambda_h.
+                cs = offset_coefficients(range(0, 2 * t, 2))
+                d = [c * lam for c, lam in zip(cs, checker_levels)]
+                top, steps, divisor = rec.gates[t]
+                assert (top, divisor) == (d[t], 2 ** t * factorial(t)), (f, t)
+                assert steps == tuple((d[h], h) for h in range(t - 1, -1, -1)), (f, t)
+                F = sum(d_h * falling(f.k, h) for h, d_h in enumerate(d))
+                assert integrality_gate(f, t).F == F, (f, t)

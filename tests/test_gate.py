@@ -188,6 +188,23 @@ def test_gate_computes_one_block_count(member_builds):
     assert member_builds == [(0, 8)]
 
 
+def test_a_gate_cell_does_no_coefficient_work(monkeypatch):
+    # The member record holds each gate as Horner steps; once it is built,
+    # a cell only evaluates them.
+    from designgate import families, gate
+
+    f = CodeFamily(63, 0)
+    weights = (f.k, f.k + 4, 400, f.n // 2, f.n - f.k)
+    want = [integrality_gate(f, t, u) for t in (7, 8) for u in weights]
+
+    def refuse(xs):
+        raise AssertionError("offset coefficients computed in a gate cell")
+
+    for module in (families, gate):
+        monkeypatch.setattr(module, "offset_coefficients", refuse)
+    assert [integrality_gate(f, t, u) for t in (7, 8) for u in weights] == want
+
+
 def test_gate_polynomial_matches_the_moment_route():
     # Horner's rule on the memoised d_h against A_h = (u)_h lambda_h and
     # F = sum_h c_h A_h, at every weight u with A_u > 0 and every strength

@@ -8,7 +8,7 @@ from pathlib import Path
 import checker
 import pytest
 
-from designgate import gleason
+from designgate import families, gleason
 from designgate.combinat import binom
 from designgate.families import M_MAXES, CodeFamily, _burmann_coefficient, block_count
 from designgate.gleason import (
@@ -50,6 +50,23 @@ def test_min_weight_counts(n, count):
     assert min_weight_count(n) == count
 
 
+def test_min_weight_count_makes_one_buermann_evaluation(monkeypatch):
+    # A_k = -c_{m+1} alone: no c_{m+2} for an A_{k+4} nobody asked for.
+    calls = []
+    real = gleason._burmann_coefficient
+
+    def counting(a, j):
+        calls.append((a, j))
+        return real(a, j)
+
+    for module in (families, gleason):
+        monkeypatch.setattr(module, "_burmann_coefficient", counting)
+    for n in range(8, LENGTH_CAP + 1, 8):
+        calls.clear()
+        min_weight_count(n)
+        assert calls == [(n // 8, n // 24 + 1)], n
+
+
 def test_enumerator_n24():
     enum = extremal_weight_enumerator(24)
     assert enum.coefficient(8) == 759
@@ -85,6 +102,19 @@ def test_enumerator_sum_check_rejects_bad_series(monkeypatch):
     def perturbed(n):
         prefix = _recurrence_prefix(n)
         prefix[-1] += 1  # A_{n/2}, which the mirror does not duplicate
+        return prefix
+
+    monkeypatch.setattr(gleason, "_recurrence_prefix", perturbed)
+    with pytest.raises(ArithmeticError, match="does not sum to 2"):
+        extremal_weight_enumerator(48)
+
+
+def test_enumerator_sum_check_counts_a_mirrored_coefficient_twice(monkeypatch):
+    # The check runs on the computed half as 2 * sum - A_{n/2}; a coefficient
+    # below the centre appears twice in the mirrored list.
+    def perturbed(n):
+        prefix = _recurrence_prefix(n)
+        prefix[1] += 1  # A_4, mirrored to A_{n-4}
         return prefix
 
     monkeypatch.setattr(gleason, "_recurrence_prefix", perturbed)
