@@ -3,16 +3,21 @@
 Subcommands: lambda, scan, gate, theorem, wenum.  Exit codes: 0 success,
 2 bad input, 3 I/O failure, 4 reference-set mismatch.
 
+argv is read against one table, ``COMMANDS``, as argparse reads it: each
+token is classified (an option, whole, by a unique prefix or as --flag=value,
+or a positional), then the tokens are taken from left to right.  argparse
+stays in tests/cli_oracle.py as the oracle this reading is held to; the two
+differ only on ``--flag=--``, which argparse reads as an empty list.
 Each handler imports the modules only it needs when it runs, so that a
 cold start loads no more than its subcommand uses.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import sys
+from types import SimpleNamespace
 
 from .families import (
     FAMILY_LABELS,
@@ -30,55 +35,138 @@ from .report import FORMATS, Report, gate_row, lambda_row, render, set_row, time
 _FAMILY_INDEX = {label: r for r, label in enumerate(FAMILY_LABELS)}
 _JOBS_HELP = "accepted for compatibility and ignored: the work runs serially"
 
+# One row per option: its flag (a bare name for a positional), what it reads
+# (int, str, a tuple of choices, or None for a switch), its default (REQUIRED
+# if it must be given) and its help.
+REQUIRED = ...
+_FAMILY, _M, _T = (("--family", FAMILY_LABELS, REQUIRED, None),
+                   ("--m", int, REQUIRED, None), ("--t", int, REQUIRED, None))
+_JOBS = ("--jobs", int, 1, _JOBS_HELP)
+_OUT = ("--out", str, None, "write output to PATH instead of stdout")
+_REPORT = (("--format", FORMATS, "table", None), ("--no-timestamp", None, False,
+           "omit the generation timestamp (byte-deterministic output)"), _OUT)
+COMMANDS = {
+    "lambda": ("print exact lambda levels for one family member", (_FAMILY, _M, _T)),
+    "scan": ("lambda-integrality scan over an m range", (_FAMILY, _T, ("--m-min", int, None, None),
+             ("--m-max", int, None, None), _JOBS, *_REPORT)),
+    "gate": ("run one integrality gate",
+             (_FAMILY, _M, _T, ("--u", int, None, "reference weight (default: k)"), *_REPORT)),
+    "theorem": ("reproduce a classification result and diff it",
+                (("id", THEOREM_IDS, REQUIRED, None), ("--t", int, None,
+                 "for thm5.x: stop the ladder at this strength"), _JOBS, *_REPORT)),
+    "wenum": ("extremal weight enumerator coefficients", (("--n", int, REQUIRED, None), _OUT)),
+}
+_PROG, _HELP = "designgate", ("-h/--help", None, False, "show this help message and exit")
+_TOP = (("command", tuple(COMMANDS), REQUIRED, None),)
 
-def _add_common(p: argparse.ArgumentParser, *, fmt: bool = True) -> None:
-    if fmt:
-        p.add_argument("--format", choices=FORMATS, default="table")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the generation timestamp (byte-deterministic output)")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="write output to PATH instead of stdout")
+
+def _exit(prog: str, opts, message: str = ""):
+    """Exit 2 with the usage and message on stderr or, without a message, 0
+    with the help on stdout: each option, its value's name and its help."""
+    rows, usage = [], [f"usage: {prog}"]
+    for flag, kind, default, text in (_HELP, *opts):
+        meta = ("{%s}" % ",".join(kind) if type(kind) is tuple else "PATH" if kind is str
+                else flag[2:].upper() if kind else "")
+        rows.append((f"{flag} {meta}".rstrip() if flag[0] == "-" else meta, text or ""))
+        usage.append(rows[-1][0] if default is REQUIRED else f"[{rows[-1][0]}]")
+    if message:
+        sys.stderr.write(f"{' '.join(usage)}\n{prog}: error: {message}\n")
+        raise SystemExit(2)
+    rows += [(f"  {name}", text) for name, (text, _) in COMMANDS.items() if opts is _TOP]
+    sys.stdout.write("\n".join([" ".join(usage), ""] + [f"  {a:<28} {b}".rstrip()
+                                                         for a, b in rows]) + "\n")
+    raise SystemExit(0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="designgate",
-        description="Exact integrality tests for support t-designs of "
-                    "extremal doubly even self-dual codes.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+def _classify(prog: str, opts, flags: dict, tok: str):
+    """None for a positional (negative numbers included), else the flag tok
+    names, whole, by a unique prefix or joined to a value by '=' (None if
+    unknown), and that value.  flags holds -h and --help, then the options
+    in table order, the order argparse tries prefixes in."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    name, eq, value = tok.partition("=")
+    if name in flags:
+        return name, value if eq else None
+    if tok[1] == "-":  # a prefix of long flags, with any '='-joined value
+        hits, value = [f for f in flags if f.startswith(name)], value if eq else None
+    else:  # a short flag, with the rest of tok as its value
+        hits, value = [f for f in flags if f == tok[:2]], tok[2:]
+    if len(hits) > 1:
+        _exit(prog, opts, f"ambiguous option: {tok} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value
+    whole, dot, frac = tok[1:].removesuffix("\n").partition(".")  # -\d+$ or -\d*\.\d+$
+    number = (frac if dot else whole).isdecimal() and (not whole or whole.isdecimal())
+    return None if number or " " in tok else (None, None)
 
-    p = sub.add_parser("lambda", help="print exact lambda levels for one family member")
-    p.add_argument("--family", choices=FAMILY_LABELS, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
 
-    p = sub.add_parser("scan", help="lambda-integrality scan over an m range")
-    p.add_argument("--family", choices=FAMILY_LABELS, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--m-min", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    _add_common(p)
+def _read(prog: str, opts, argv: list[str], values: dict) -> list[str]:
+    """Read one parser's argv into values, keyed by flag, and return the
+    tokens it leaves.  Tokens are classified first, then taken left to
+    right: the first bad value or -h decides, then a missing required
+    option.  Every token after a '--' is a positional."""
+    flags = {"-h": _HELP, "--help": _HELP, **{opt[0]: opt for opt in opts if opt[0][0] == "-"}}
+    positional = [opt for opt in opts if opt[0][0] != "-"]
+    values.update((f, None if d is REQUIRED else d) for f, _, d, _ in opts)
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_classify(prog, opts, flags, tok) for tok in argv[:end]]
 
-    p = sub.add_parser("gate", help="run one integrality gate")
-    p.add_argument("--family", choices=FAMILY_LABELS, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--u", type=int, default=None, help="reference weight (default: k)")
-    _add_common(p)
+    def take(opt, value):
+        flag, kind = opt[:2]
+        if type(kind) is tuple and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            _exit(prog, opts, f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        try:
+            values[flag] = int(value) if kind is int else value
+        except ValueError:
+            _exit(prog, opts, f"argument {flag}: invalid int value: {value!r}")
 
-    p = sub.add_parser("theorem", help="reproduce a classification result and diff it")
-    p.add_argument("id", choices=THEOREM_IDS)
-    p.add_argument("--t", type=int, default=None,
-                   help="for thm5.x: stop the ladder at this strength")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    _add_common(p)
+    extras, i = [], 0
+    while i < end:
+        tok, kind = argv[i], kinds[i]
+        opt, value = (None, None) if kind is None or kind[0] is None else (flags[kind[0]], kind[1])
+        i += 1
+        if kind is None and positional:
+            take(positional.pop(), tok)
+            if opts is _TOP:  # the subcommand reads every later token
+                return extras + _read(f"{prog} {tok}", COMMANDS[tok][1], argv[i:], values)
+            if i == end < len(argv):  # a '--' right after the positional goes with it
+                i += 1
+        elif opt is None:
+            extras.append(tok)
+        elif opt[1] is None:  # -h/--help or a switch
+            if kind[0] == "-h" and value:  # -hh is -h twice
+                value = value.lstrip("h") or None
+            if value is not None:
+                _exit(prog, opts, f"argument {opt[0]}: ignored explicit argument {value!r}")
+            if opt is _HELP:
+                _exit(prog, opts)
+            values[opt[0]] = True
+        elif value is not None:
+            take(opt, value)
+        elif i < end and kinds[i] is None:
+            take(opt, argv[i])
+            i += 1
+        else:
+            _exit(prog, opts, f"argument {opt[0]}: expected one argument")
+    rest = argv[i:]
+    if positional and rest[1:]:  # '--' and a positional; argparse names no subcommand '--'
+        take(positional.pop(), rest[0] if opts is _TOP else rest[1])
+        rest = rest[2:]
+    missing = [f for f, _, d, _ in opts if d is REQUIRED and values[f] is None]
+    if missing:
+        _exit(prog, opts, f"the following arguments are required: {', '.join(missing)}")
+    return extras + rest
 
-    p = sub.add_parser("wenum", help="extremal weight enumerator coefficients")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p, fmt=False)
-    return ap
+
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """Read argv (default sys.argv[1:]) as tests/cli_oracle.py's parser does."""
+    values = {}
+    extras = _read(_PROG, _TOP, sys.argv[1:] if argv is None else list(argv), values)
+    if extras:
+        _exit(_PROG, _TOP, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**{f.lstrip("-").replace("-", "_"): v for f, v in values.items()})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -199,10 +287,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         out = getattr(args, "out", None)  # before the work, so a bad --out wastes none
-        if out and not os.path.isdir(os.path.dirname(out) or "."):
+        if out is not None and not (out and os.path.isdir(os.path.dirname(out) or ".")):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         if out and os.path.isdir(out):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)

@@ -5,8 +5,10 @@ One line-delimited JSON record per gate, keyed by the four integers
 "p/q"); records are append-only and deduplicated on read (a key always maps
 to the same value, so last-wins is safe); a malformed record, or one whose
 verdict contradicts its quotient, is refused with a ValueError that names
-the file and line.  ``designgate gate`` checks a record against the result
-it computed and appends one on a miss; the library never opens the store.
+the file and line.  Loading checks every record in ints; only ``get``
+builds a GateResult, for the one key it is asked for.  ``designgate gate``
+checks a record against the result it computed and appends one on a miss;
+the library never opens the store.
 The directory comes from DESIGNGATE_STORE, defaulting to ./designgate_store.
 """
 
@@ -17,7 +19,7 @@ import os
 from pathlib import Path
 
 from .combinat import exact_quotient
-from .gate import GateResult
+from .gate import FAIL_NONINTEGER, PASS, GateResult
 
 ENV_VAR = "DESIGNGATE_STORE"
 DEFAULT_DIRNAME = "designgate_store"
@@ -38,16 +40,25 @@ def result_to_record(res: GateResult) -> dict:
     }
 
 
-def record_to_result(rec: dict) -> GateResult:
+def _checked(rec: dict) -> tuple[Key, int, int, int]:
+    """The key, F and quotient p/q of a record, checked in ints: a malformed
+    field, or a verdict other than PASS exactly when q divides p, is refused."""
     try:
         p, q = rec["quotient"].split("/")
-        res = GateResult(int(rec["family"]), int(rec["m"]), int(rec["t"]), int(rec["u"]),
-                         int(rec["F"]), exact_quotient(int(p), int(q)))
+        key = int(rec["family"]), int(rec["m"]), int(rec["t"]), int(rec["u"])
+        F, p, q = int(rec["F"]), int(p), int(q)
+        integral = not divmod(p, q)[1]
     except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed store record {rec!r}: {exc!r}") from None
-    if rec.get("verdict") != res.verdict:
-        raise ValueError(f"verdict {rec.get('verdict')!r} contradicts quotient {res.quotient}")
-    return res
+    if rec.get("verdict") != (PASS if integral else FAIL_NONINTEGER):
+        raise ValueError(f"verdict {rec.get('verdict')!r} contradicts quotient "
+                         f"{exact_quotient(p, q)}")
+    return key, F, p, q
+
+
+def record_to_result(rec: dict) -> GateResult:
+    (family, m, t, u), F, p, q = _checked(rec)
+    return GateResult(family, m, t, u, F, exact_quotient(p, q))
 
 
 class ResultStore:
@@ -56,7 +67,7 @@ class ResultStore:
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
         self.path = self.directory / _FILENAME
-        self._cache: dict[Key, GateResult] = {}
+        self._cache: dict[Key, dict] = {}  # checked records; get builds the result
         self._loaded = False
 
     @staticmethod
@@ -71,24 +82,25 @@ class ResultStore:
                 for lineno, line in enumerate(fh, 1):
                     try:
                         if line.strip():
-                            res = record_to_result(json.loads(line.decode("ascii")))
-                            self._cache[(res.family, res.m, res.t, res.u)] = res
+                            rec = json.loads(line.decode("ascii"))
+                            self._cache[_checked(rec)[0]] = rec
                     except ValueError as exc:
                         raise ValueError(f"{self.path}:{lineno}: {exc}") from None
         self._loaded = True
 
     def get(self, family: int, m: int, t: int, u: int) -> GateResult | None:
         self._load()
-        return self._cache.get((family, m, t, u))
+        rec = self._cache.get((family, m, t, u))
+        return None if rec is None else record_to_result(rec)
 
     def put(self, res: GateResult) -> None:
         self._load()
         key = (res.family, res.m, res.t, res.u)
         if key in self._cache:
             return
-        self._cache[key] = res
+        self._cache[key] = rec = result_to_record(res)
         self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(result_to_record(res), sort_keys=False)
+        line = json.dumps(rec, sort_keys=False)
         with open(self.path, "a", encoding="ascii") as fh:
             fh.write(line + "\n")
 

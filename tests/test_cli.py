@@ -6,13 +6,14 @@ import tempfile
 from pathlib import Path
 
 import checker
+import cli_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from designgate import cli
-from designgate.cli import build_parser, main
-from designgate.families import FAMILY_LABELS, M_MAXES, admissible_scan
+from designgate.cli import main
+from designgate.families import FAMILY_LABELS, M_MAXES, THEOREM_IDS, admissible_scan
 from designgate.report import FORMATS
 
 
@@ -77,9 +78,8 @@ def test_lambda_strength_above_k_exits_2_before_output(capsys):
 
 
 def test_jobs_default_to_one_and_reject_zero(capsys):
-    parser = build_parser()
-    assert parser.parse_args(["scan", "--family", "24m", "--t", "6"]).jobs == 1
-    assert parser.parse_args(["theorem", "lemma1"]).jobs == 1
+    assert cli.parse_args(["scan", "--family", "24m", "--t", "6"]).jobs == 1
+    assert cli.parse_args(["theorem", "lemma1"]).jobs == 1
     assert main(["scan", "--family", "24m", "--t", "6", "--jobs", "0"]) == 2
     assert main(["theorem", "lemma1", "--jobs", "0"]) == 2
     captured = capsys.readouterr()
@@ -250,21 +250,29 @@ def test_unwritable_out_exits_3(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan", "--family", "24m+8", "--t", "152"],
-    ["gate", "--family", "24m", "--m", "8", "--t", "7"],
-    ["theorem", "thm2"],
-    ["wenum", "--n", "48"],
-], ids=lambda argv: argv[0])
-def test_out_in_missing_directory_exits_3_before_the_work(tmp_path, capsys, monkeypatch, argv):
+_OUT_CALLS = {
+    "scan": ["scan", "--family", "24m+8", "--t", "152"],
+    "gate": ["gate", "--family", "24m", "--m", "8", "--t", "7"],
+    "theorem": ["theorem", "thm2"],
+    "wenum": ["wenum", "--n", "48"],
+}
+
+
+# An --out whose directory is missing, and the empty path, which names no file.
+@pytest.mark.parametrize("argv,out", [
+    *((argv, "missing/x") for argv in _OUT_CALLS.values()),
+    *((_OUT_CALLS[name], "") for name in ("gate", "theorem", "wenum")),
+], ids=[*_OUT_CALLS, "gate-empty", "theorem-empty", "wenum-empty"])
+def test_out_in_missing_directory_exits_3_before_the_work(tmp_path, capsys, monkeypatch, argv,
+                                                          out):
     def no_work(args):
         raise AssertionError(f"{args.command} ran although --out cannot be written")
 
     monkeypatch.setitem(cli._HANDLERS, argv[0], no_work)
-    assert main(argv + ["--out", "missing/x"]) == 3
+    assert main(argv + ["--out", out]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "i/o error: [Errno 2] No such file or directory: 'missing/x'\n"
+    assert captured.err == f"i/o error: [Errno 2] No such file or directory: {out!r}\n"
     assert not (tmp_path / "store").exists()
 
 
@@ -400,7 +408,7 @@ PRE_GATE_FAILS = ("gate --family 24m --m 1 --t 6 --no-timestamp",
 @pytest.mark.parametrize("args", [args for args, (code, _) in CLI_GOLDEN.items()
                                   if code == 0 and args not in PRE_GATE_FAILS])
 def test_cli_golden_sample_matches_the_independent_checker(capsys, args):
-    ns = build_parser().parse_args(args.split())
+    ns = cli.parse_args(args.split())
     assert main(args.split()) == 0
     out = capsys.readouterr().out
     if ns.command == "wenum":
@@ -469,7 +477,7 @@ def test_cli_exits_0_with_output_or_2_and_3_with_none(argv, out):
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse refusing the argv
+            except SystemExit as exc:  # the parser refusing the argv
                 code = exc.code
                 assert code == 2, stderr.getvalue()
         if code == 0:
@@ -480,3 +488,112 @@ def test_cli_exits_0_with_output_or_2_and_3_with_none(argv, out):
             assert code in (2, 3), stderr.getvalue()
             assert stdout.getvalue() == ""
             assert stderr.getvalue()
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` does: ("ok", values), ("help", whether the help
+    went to stdout alone) or ("error", exit code, stdout, last stderr line)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            values = vars(parse(argv))
+        except SystemExit as exc:
+            if exc.code == 0:
+                return "help", bool(stdout.getvalue()) and not stderr.getvalue()
+            return "error", exc.code, stdout.getvalue(), stderr.getvalue().splitlines()[-1]
+    return "ok", values
+
+
+def _oracle(argv):
+    return cli_oracle.build_parser().parse_args(argv)
+
+
+# argv the parser refuses, and the last line of its stderr, as argparse has it.
+PARSER_ERRORS = {
+    "": "designgate: error: the following arguments are required: command",
+    "foo": "designgate: error: argument command: invalid choice: 'foo' "
+           "(choose from 'lambda', 'scan', 'gate', 'theorem', 'wenum')",
+    "gate": "designgate gate: error: the following arguments are required: --family, --m, --t",
+    "gate --family x": "designgate gate: error: argument --family: invalid choice: 'x' "
+                       "(choose from '24m', '24m+8', '24m+16')",
+    "theorem thm9": "designgate theorem: error: argument id: invalid choice: 'thm9' (choose "
+                    "from 'lemma1', 'thm1', 'thm2', 'thm3', 'thm4', 'thm5.1', 'thm5.2')",
+    "gate --m x": "designgate gate: error: argument --m: invalid int value: 'x'",
+    "gate --m=": "designgate gate: error: argument --m: invalid int value: ''",
+    "gate --m --t": "designgate gate: error: argument --m: expected one argument",
+    "gate --m -x": "designgate gate: error: argument --m: expected one argument",
+    "gate --m 8 --f 24m": "designgate gate: error: ambiguous option: --f could match "
+                          "--family, --format",
+    "gate --m x --f 24m": "designgate gate: error: ambiguous option: --f could match "
+                          "--family, --format",
+    "gate --no-timestamp=x": "designgate gate: error: argument --no-timestamp: "
+                             "ignored explicit argument 'x'",
+    "gate -hx": "designgate gate: error: argument -h/--help: ignored explicit argument 'x'",
+    "--bogus wenum --n 8 extra1 -- extra2": "designgate: error: unrecognized arguments: "
+                                            "--bogus extra1 -- extra2",
+    "wenum extra1 --bogus extra2 --n 8": "designgate: error: unrecognized arguments: "
+                                         "extra1 --bogus extra2",
+    "theorem thm2 -- x": "designgate: error: unrecognized arguments: x",
+    "-- wenum --n 8": "designgate: error: argument command: invalid choice: '--' "
+                      "(choose from 'lambda', 'scan', 'gate', 'theorem', 'wenum')",
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_ERRORS)
+def test_parser_error_lines(argv):
+    want = ("error", 2, "", PARSER_ERRORS[argv])
+    assert _parsed(cli.parse_args, argv.split()) == _parsed(_oracle, argv.split()) == want
+
+
+@pytest.mark.parametrize("argv,values", [
+    ("theorem --t 5 thm5.1", {"id": "thm5.1", "t": 5}),
+    ("theorem -- thm5.1", {"id": "thm5.1", "t": None}),
+    ("gate --fam=24m --m -5 --t 7 --t=8 --no-t --u 10000000000000000000000000",
+     {"family": "24m", "m": -5, "t": 8, "u": 10**25, "no_timestamp": True}),
+])
+def test_parser_reads_like_argparse(argv, values):
+    status, got = _parsed(cli.parse_args, argv.split())
+    assert (status, got) == _parsed(_oracle, argv.split())
+    assert values.items() <= got.items()
+
+
+_ALL_FLAGS = sorted({flag for _, opts in cli.COMMANDS.values() for flag, *_ in opts
+                     if flag.startswith("-")} | {"-h", "--help"})
+_VALUES = st.one_of(
+    st.integers(-3, 200).map(str), st.integers(-10**25, 10**25).map(str),
+    st.sampled_from(FAMILY_LABELS + THEOREM_IDS + FORMATS),
+    st.sampled_from(["", "x", "1e3", " 5", "-1.5", "a b", "-x y", "-", "-x", "-hh", "-hx", "-h="]))
+_PREFIXES = st.sampled_from(_ALL_FLAGS).flatmap(
+    lambda flag: st.integers(2, len(flag)).map(lambda k: flag[:k]))
+_TOKENS = st.one_of(
+    st.sampled_from(list(cli.COMMANDS)), st.sampled_from(_ALL_FLAGS), _PREFIXES,
+    st.tuples(_PREFIXES, _VALUES).map("=".join), _VALUES,
+    st.sampled_from(["-h", "--help", "--bogus", "extra", "--"]))
+
+
+@st.composite
+def _parser_argv(draw):
+    """A subcommand and some of its options, each a flag and a value most
+    often of the right kind, shuffled, with a few tokens of any kind."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    words = []
+    for flag, kind, _, _ in cli.COMMANDS[command][1]:
+        if draw(st.integers(0, 3)):
+            value = (draw(st.sampled_from(kind)) if type(kind) is tuple
+                     else draw(_VALUES) if draw(st.integers(0, 4)) == 0
+                     else str(draw(st.integers(-2, 70))))
+            words.append([value] if flag[0] != "-" else [flag] if kind is None
+                         else [flag, value])
+    words = draw(st.permutations(words))
+    noise = draw(st.lists(st.tuples(st.integers(0, len(words)), _TOKENS), max_size=2))
+    for at, token in noise:
+        words.insert(at, [token])
+    return [command] + [word for group in words for word in group]
+
+
+@settings(max_examples=400)
+@given(argv=st.one_of(_parser_argv(), st.lists(_TOKENS, max_size=8)))
+def test_parser_agrees_with_argparse(argv):
+    # argparse reads --flag=-- as an empty list; the joins drawn here never
+    # carry '--' as a value.
+    assert _parsed(cli.parse_args, argv) == _parsed(_oracle, argv)

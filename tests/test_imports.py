@@ -18,6 +18,8 @@ SUBMODULES = ("cli", "combinat", "families", "gate", "gleason", "report", "store
 HEAVY = {"dataclasses", "inspect"}
 # What ``fractions`` loads; only a non-integral value needs it.
 RATIONALS = {"fractions", "decimal", "numbers"}
+# What argparse loads: the CLI reads argv without it.
+ARGPARSE = {"argparse", "gettext", "locale"}
 CALLS = {
     "lambda": ["lambda", "--family", "24m", "--m", "8", "--t", "7"],
     "scan": ["scan", "--family", "24m+8", "--t", "5", "--m-max", "20"],
@@ -50,7 +52,7 @@ def test_cli_import_loads_no_driver_gate_or_store(tmp_path):
     assert {"designgate.cli", "designgate.families", "designgate.report"} <= loaded
     unwanted = {"designgate.theorems", "designgate.gate", "designgate.gleason",
                 "designgate.store", "designgate.reference_sets", "csv", "datetime"}
-    assert not loaded & (unwanted | HEAVY | RATIONALS)
+    assert not loaded & (unwanted | HEAVY | RATIONALS | ARGPARSE)
 
 
 INTEGRAL_CALLS = {
@@ -67,6 +69,18 @@ def test_integral_calls_load_no_fractions(command, tmp_path):
     # Fraction; the gate runs against a fresh store.
     loaded = loaded_after("from designgate.cli import main\n"
                           f"assert main({INTEGRAL_CALLS[command]!r}) == 0", tmp_path)
+    assert not loaded & RATIONALS
+
+
+def test_pass_gate_loads_no_fractions_beside_a_stored_fail(tmp_path):
+    # The store holds a non-integral record; a PASS gate loads and checks
+    # it in ints and builds only the result it asked for.
+    loaded_after("from designgate.cli import main\n"
+                 f"assert main({CALLS['gate']!r}) == 0", tmp_path)
+    assert (tmp_path / "store" / "gates.jsonl").read_text().count("FAIL_NONINTEGER") == 1
+    loaded = loaded_after("from designgate.cli import main\n"
+                          f"assert main({INTEGRAL_CALLS['gate']!r}) == 0", tmp_path)
+    assert "designgate.store" in loaded
     assert not loaded & RATIONALS
 
 
@@ -116,6 +130,7 @@ def test_cli_calls_load_no_dataclasses_or_inspect(command, tmp_path):
     loaded = loaded_after("from designgate.cli import main\n"
                           f"assert main({CALLS[command]!r}) == 0", tmp_path)
     assert not loaded & HEAVY
+    assert not loaded & ARGPARSE
 
 
 def test_public_names_load_no_dataclasses_or_inspect(tmp_path):
