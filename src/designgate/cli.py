@@ -3,11 +3,11 @@
 Subcommands: lambda, scan, gate, theorem, wenum.  Exit codes: 0 success,
 2 bad input, 3 I/O failure, 4 reference-set mismatch.
 
-argv is read against one table, ``COMMANDS``, as argparse reads it: each
-token is classified (an option, whole, by a unique prefix or as --flag=value,
-or a positional), then the tokens are taken from left to right.  argparse
-stays in tests/cli_oracle.py as the oracle this reading is held to; the two
-differ only on ``--flag=--``, which argparse reads as an empty list.
+Every option is one row of one table, ``COMMANDS``.  A plain argv (a
+subcommand, then exact flags, each value its own token) is read from it
+without importing argparse; any other goes to an argparse parser built from
+it, which gives the help and every error.  tests/cli_oracle.py holds both
+paths to an argparse parser written out by hand.
 Each handler imports the modules only it needs when it runs, so that a
 cold start loads no more than its subcommand uses.
 """
@@ -56,117 +56,76 @@ COMMANDS = {
                  "for thm5.x: stop the ladder at this strength"), _JOBS, *_REPORT)),
     "wenum": ("extremal weight enumerator coefficients", (("--n", int, REQUIRED, None), _OUT)),
 }
-_PROG, _HELP = "designgate", ("-h/--help", None, False, "show this help message and exit")
-_TOP = (("command", tuple(COMMANDS), REQUIRED, None),)
 
 
-def _exit(prog: str, opts, message: str = ""):
-    """Exit 2 with the usage and message on stderr or, without a message, 0
-    with the help on stdout: each option, its value's name and its help."""
-    rows, usage = [], [f"usage: {prog}"]
-    for flag, kind, default, text in (_HELP, *opts):
-        meta = ("{%s}" % ",".join(kind) if type(kind) is tuple else "PATH" if kind is str
-                else flag[2:].upper() if kind else "")
-        rows.append((f"{flag} {meta}".rstrip() if flag[0] == "-" else meta, text or ""))
-        usage.append(rows[-1][0] if default is REQUIRED else f"[{rows[-1][0]}]")
-    if message:
-        sys.stderr.write(f"{' '.join(usage)}\n{prog}: error: {message}\n")
-        raise SystemExit(2)
-    rows += [(f"  {name}", text) for name, (text, _) in COMMANDS.items() if opts is _TOP]
-    sys.stdout.write("\n".join([" ".join(usage), ""] + [f"  {a:<28} {b}".rstrip()
-                                                         for a, b in rows]) + "\n")
-    raise SystemExit(0)
-
-
-def _classify(prog: str, opts, flags: dict, tok: str):
-    """None for a positional (negative numbers included), else the flag tok
-    names, whole, by a unique prefix or joined to a value by '=' (None if
-    unknown), and that value.  flags holds -h and --help, then the options
-    in table order, the order argparse tries prefixes in."""
-    if tok[:1] != "-" or tok == "-":
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The values of a plain argv, else None: a subcommand, then its options,
+    each an exact flag and, unless a switch, a value of its kind not starting
+    with '-' as the next token, with theorem's id among them and every
+    required option given.  argparse reads it the same way, and a repeated
+    option keeps its last value."""
+    if not argv or argv[0] not in COMMANDS:
         return None
-    name, eq, value = tok.partition("=")
-    if name in flags:
-        return name, value if eq else None
-    if tok[1] == "-":  # a prefix of long flags, with any '='-joined value
-        hits, value = [f for f in flags if f.startswith(name)], value if eq else None
-    else:  # a short flag, with the rest of tok as its value
-        hits, value = [f for f in flags if f == tok[:2]], tok[2:]
-    if len(hits) > 1:
-        _exit(prog, opts, f"ambiguous option: {tok} could match {', '.join(hits)}")
-    if hits:
-        return hits[0], value
-    whole, dot, frac = tok[1:].removesuffix("\n").partition(".")  # -\d+$ or -\d*\.\d+$
-    number = (frac if dot else whole).isdecimal() and (not whole or whole.isdecimal())
-    return None if number or " " in tok else (None, None)
-
-
-def _read(prog: str, opts, argv: list[str], values: dict) -> list[str]:
-    """Read one parser's argv into values, keyed by flag, and return the
-    tokens it leaves.  Tokens are classified first, then taken left to
-    right: the first bad value or -h decides, then a missing required
-    option.  Every token after a '--' is a positional."""
-    flags = {"-h": _HELP, "--help": _HELP, **{opt[0]: opt for opt in opts if opt[0][0] == "-"}}
-    positional = [opt for opt in opts if opt[0][0] != "-"]
-    values.update((f, None if d is REQUIRED else d) for f, _, d, _ in opts)
-    end = argv.index("--") if "--" in argv else len(argv)
-    kinds = [_classify(prog, opts, flags, tok) for tok in argv[:end]]
-
-    def take(opt, value):
-        flag, kind = opt[:2]
-        if type(kind) is tuple and value not in kind:
-            choices = ", ".join(map(repr, kind))
-            _exit(prog, opts, f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+    opts = {flag: kind for flag, kind, _, _ in COMMANDS[argv[0]][1]}
+    values = {flag: default for flag, _, default, _ in COMMANDS[argv[0]][1]}
+    rest = argv[:0:-1]  # the tokens after the subcommand, last first
+    while rest:
+        tok = rest.pop()
+        if tok[:1] != "-":  # theorem's id, given once
+            if values.get("id", 0) is not REQUIRED:
+                return None
+            flag, value = "id", tok
+        elif tok in opts and opts[tok] is None:  # a switch
+            values[tok] = True
+            continue
+        elif tok in opts and rest:
+            flag, value = tok, rest.pop()
+        else:
+            return None
+        kind = opts[flag]
+        if value[:1] == "-" or type(kind) is tuple and value not in kind:
+            return None
         try:
             values[flag] = int(value) if kind is int else value
         except ValueError:
-            _exit(prog, opts, f"argument {flag}: invalid int value: {value!r}")
+            return None
+    if REQUIRED in values.values():
+        return None
+    return SimpleNamespace(command=argv[0], **{flag.lstrip("-").replace("-", "_"): value
+                                               for flag, value in values.items()})
 
-    extras, i = [], 0
-    while i < end:
-        tok, kind = argv[i], kinds[i]
-        opt, value = (None, None) if kind is None or kind[0] is None else (flags[kind[0]], kind[1])
-        i += 1
-        if kind is None and positional:
-            take(positional.pop(), tok)
-            if opts is _TOP:  # the subcommand reads every later token
-                return extras + _read(f"{prog} {tok}", COMMANDS[tok][1], argv[i:], values)
-            if i == end < len(argv):  # a '--' right after the positional goes with it
-                i += 1
-        elif opt is None:
-            extras.append(tok)
-        elif opt[1] is None:  # -h/--help or a switch
-            if kind[0] == "-h" and value:  # -hh is -h twice
-                value = value.lstrip("h") or None
-            if value is not None:
-                _exit(prog, opts, f"argument {opt[0]}: ignored explicit argument {value!r}")
-            if opt is _HELP:
-                _exit(prog, opts)
-            values[opt[0]] = True
-        elif value is not None:
-            take(opt, value)
-        elif i < end and kinds[i] is None:
-            take(opt, argv[i])
-            i += 1
-        else:
-            _exit(prog, opts, f"argument {opt[0]}: expected one argument")
-    rest = argv[i:]
-    if positional and rest[1:]:  # '--' and a positional; argparse names no subcommand '--'
-        take(positional.pop(), rest[0] if opts is _TOP else rest[1])
-        rest = rest[2:]
-    missing = [f for f, _, d, _ in opts if d is REQUIRED and values[f] is None]
-    if missing:
-        _exit(prog, opts, f"the following arguments are required: {', '.join(missing)}")
-    return extras + rest
+
+def _argparse(argv: list[str]) -> SimpleNamespace:
+    """Read any argv with an argparse parser built from COMMANDS, refusing
+    the empty list argparse makes of --flag=--."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="designgate")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (text, opts) in COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        for flag, kind, default, help_text in opts:
+            how = ({"action": "store_true"} if kind is None else {"choices": kind}
+                   if type(kind) is tuple else {"type": int} if kind is int
+                   else {"metavar": "PATH"})
+            if default is not REQUIRED:
+                how["default"] = default
+            elif flag[0] == "-":
+                how["required"] = True
+            sub.add_argument(flag, help=help_text, **how)
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if value == []:
+            flag = "--" + dest.replace("_", "-")
+            commands.choices[args.command].error(f"argument {flag}: expected one argument")
+    return SimpleNamespace(**vars(args))
 
 
 def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
-    """Read argv (default sys.argv[1:]) as tests/cli_oracle.py's parser does."""
-    values = {}
-    extras = _read(_PROG, _TOP, sys.argv[1:] if argv is None else list(argv), values)
-    if extras:
-        _exit(_PROG, _TOP, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(**{f.lstrip("-").replace("-", "_"): v for f, v in values.items()})
+    """Read argv (default sys.argv[1:]) as tests/cli_oracle.py's parser does:
+    a plain argv without argparse, any other with it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return _read_plain(argv) or _argparse(argv)
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -1,7 +1,10 @@
 """Test oracle for the argv reading of :mod:`designgate.cli`: the CLI's
-interface as an argparse parser.  ``cli.parse_args`` reads argv against one
-option table, without importing argparse; the tests check that both accept
-the same argv, give the same values and fail with the same ``error:`` line.
+interface as an argparse parser, written out by hand.  ``cli.parse_args``
+reads a plain argv from one option table without importing argparse, and
+any other argv with an argparse parser built from that table; the tests
+check that the CLI and this parser accept the same argv, give the same
+values and fail with the same ``error:`` line.  They differ only on
+``--flag=--``, which argparse reads as an empty list and the CLI refuses.
 """
 
 from __future__ import annotations

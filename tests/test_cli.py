@@ -333,6 +333,23 @@ def test_theorem_ids_offered_and_checked_by_the_parser(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "{lemma1,thm1,thm2,thm3,thm4,thm5.1,thm5.2}" in out
+    # Each help page goes to stdout alone and lists what the table holds:
+    # each subcommand with its help, or each option with its help and its
+    # {choices}.  argparse may wrap a line, so words are compared.
+    pages = {"": [(name, None, text) for name, (text, _) in cli.COMMANDS.items()]}
+    pages.update((command, [(flag, kind, text) for flag, kind, _, text in opts])
+                 for command, (_, opts) in cli.COMMANDS.items())
+    for command, rows in pages.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"] if command else ["-h"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        words = " ".join(captured.out.split())
+        for name, kind, text in rows:
+            choices = "{%s}" % ",".join(kind) if type(kind) is tuple else ""
+            assert (choices if name == "id" else f"{name} {choices}".rstrip()) in words
+            assert " ".join((text or "").split()) in words
     with pytest.raises(SystemExit) as exc:
         main(["theorem", "thm9"])
     assert exc.value.code == 2
@@ -594,6 +611,25 @@ def _parser_argv(draw):
 @settings(max_examples=400)
 @given(argv=st.one_of(_parser_argv(), st.lists(_TOKENS, max_size=8)))
 def test_parser_agrees_with_argparse(argv):
-    # argparse reads --flag=-- as an empty list; the joins drawn here never
-    # carry '--' as a value.
+    # The oracle reads --flag=-- as an empty list, which the CLI refuses
+    # (test_flag_joined_to_a_double_dash_is_refused); the joins drawn here
+    # never carry '--' as a value.
     assert _parsed(cli.parse_args, argv) == _parsed(_oracle, argv)
+
+
+# argparse reads --flag=-- as an empty list; the CLI refuses it as an option
+# without its value, before any output, file or store record is written.
+@pytest.mark.parametrize("argv", ["gate --family 24m --m=-- --t 7", "gate --family=-- --m 8 --t 7",
+                                  "theorem thm2 --format=--",
+                                  "gate --family 24m --m 8 --t 7 --out=--"])
+def test_flag_joined_to_a_double_dash_is_refused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = argv.partition("=--")[0].split()[-1]
+    assert captured.err.splitlines()[-1] == (f"designgate {argv.split()[0]}: error: "
+                                             f"argument {flag}: expected one argument")
+    assert not (tmp_path / "--").exists()
+    assert not (tmp_path / "store").exists()

@@ -18,7 +18,7 @@ SUBMODULES = ("cli", "combinat", "families", "gate", "gleason", "report", "store
 HEAVY = {"dataclasses", "inspect"}
 # What ``fractions`` loads; only a non-integral value needs it.
 RATIONALS = {"fractions", "decimal", "numbers"}
-# What argparse loads: the CLI reads argv without it.
+# What argparse loads: the CLI reads a plain argv without it.
 ARGPARSE = {"argparse", "gettext", "locale"}
 CALLS = {
     "lambda": ["lambda", "--family", "24m", "--m", "8", "--t", "7"],
@@ -26,6 +26,17 @@ CALLS = {
     "gate": ["gate", "--family", "24m", "--m", "8", "--t", "7"],
     "wenum": ["wenum", "--n", "48"],
     "theorem": ["theorem", "thm2", "--no-timestamp"],
+}
+# The argv shapes of perfbench/workloads.py beyond CALLS: each must stay on
+# the plain path, or every benchmarked call would pay for argparse.
+BENCHMARK_CALLS = {
+    "theorem-out": ["theorem", "thm2", "--format", "json", "--no-timestamp", "--out", "r.json"],
+    "theorem-out-jobs": ["theorem", "thm2", "--format", "json", "--no-timestamp",
+                         "--out", "r.json", "--jobs", "1"],
+    "gate-u": ["gate", "--family", "24m+8", "--m", "58", "--t", "7", "--u", "236",
+               "--format", "csv", "--no-timestamp"],
+    "scan-range": ["scan", "--family", "24m", "--t", "6", "--m-min", "5", "--m-max", "9",
+                   "--jobs", "1", "--format", "json", "--no-timestamp"],
 }
 
 
@@ -125,10 +136,10 @@ def test_families_import_loads_no_cli_or_report(tmp_path):
     assert not loaded & {"designgate.cli", "designgate.report", "designgate.theorems"}
 
 
-@pytest.mark.parametrize("command", CALLS)
+@pytest.mark.parametrize("command", [*CALLS, *BENCHMARK_CALLS])
 def test_cli_calls_load_no_dataclasses_or_inspect(command, tmp_path):
-    loaded = loaded_after("from designgate.cli import main\n"
-                          f"assert main({CALLS[command]!r}) == 0", tmp_path)
+    argv = {**CALLS, **BENCHMARK_CALLS}[command]
+    loaded = loaded_after(f"from designgate.cli import main\nassert main({argv!r}) == 0", tmp_path)
     assert not loaded & HEAVY
     assert not loaded & ARGPARSE
 
