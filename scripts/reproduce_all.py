@@ -3,7 +3,9 @@
 
 Exit status is 0 when the only reference mismatches are the documented ones
 (the family-24m+16 sets at t = 4 and t = 5, which omit m = 23); any other
-mismatch exits 1.
+mismatch exits 1.  An --out-dir that cannot be made a directory (it names a
+file, or lies under one) exits 3 with one "i/o error:" line before any driver
+runs, and so does a report that cannot be written, at that report.
 """
 
 from __future__ import annotations
@@ -25,13 +27,19 @@ def main() -> int:
     ap.add_argument("--no-timestamp", action="store_true")
     args = ap.parse_args()
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        return _reproduce(Path(args.out_dir), timestamp=not args.no_timestamp)
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
 
+
+def _reproduce(out_dir: Path, timestamp: bool) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
     unexpected = 0
     for tid in THEOREM_IDS:
         start = time.perf_counter()
-        outcome = run_theorem(tid, timestamp=not args.no_timestamp)
+        outcome = run_theorem(tid, timestamp=timestamp)
         seconds = time.perf_counter() - start
         path = out_dir / f"{tid.replace('.', '_')}.json"
         path.write_text(render(outcome.report, "json"))

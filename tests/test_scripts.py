@@ -31,6 +31,27 @@ def test_reproduce_all_reproduces_six_drivers_and_knows_the_thm52_diff(tmp_path)
         f"{tid.replace('.', '_')}.json" for tid in THEOREM_IDS)
 
 
+@pytest.mark.parametrize("out_dir,written", [("a_file", 0), ("a_file/sub", 0),
+                                              ("reports", 0), ("reports", 1)])
+def test_reproduce_all_refuses_what_it_cannot_write_with_one_error_line(
+        tmp_path, out_dir, written):
+    # A file where the directory should be fails before any driver runs; a
+    # directory where the n-th report should be fails at that report, after
+    # the summary lines of the reports before it.
+    (tmp_path / "a_file").write_text("kept\n")
+    blocked = tmp_path / "reports" / f"{THEOREM_IDS[written].replace('.', '_')}.json"
+    blocked.mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    proc = _run("reproduce_all.py", "--no-timestamp", "--out-dir", str(tmp_path / out_dir))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("i/o error: [Errno ") and proc.stderr.count("\n") == 1
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == list(THEOREM_IDS[:written])
+    reports = [tmp_path / "reports" / f"{tid.replace('.', '_')}.json"
+               for tid in THEOREM_IDS[:written]]
+    assert sorted(tmp_path.rglob("*")) == sorted(before + reports)
+    assert (tmp_path / "a_file").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("t", range(1, 6))
 def test_deep_u_scan_finds_no_failing_weight_for_24m16_m23(t):
     # m = 23 of family 24m+16 survives every gate at every admissible weight

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import checker
 import pytest
@@ -101,11 +102,68 @@ def test_thm52_t3_exact():
     assert not out.mismatches
 
 
+# Each reference the drivers read, perturbed so that every kind of mismatch
+# line shows: extra and missing m, a quotient that differs, and two quotient
+# lines in one view, to pin their order.
+M, K, K4, S7 = (list(ref.LEMMA1_M), list(ref.THM2_ELIMINATED), list(ref.THM3_ELIMINATED),
+                list(ref.THM1_SURVIVORS))
+S51, S52 = list(ref.THM51_SETS[5]), list(ref.THM52_SETS[3])
+PERTURBED = {
+    "LEMMA1_M": tuple(M[1:] + [154]),
+    "THM2_ELIMINATED": tuple([9] + K[1:]),
+    "THM3_ELIMINATED": tuple(K4[1:]),
+    "TABLE1_QUOTIENTS": {**ref.TABLE1_QUOTIENTS, 8: Fraction(1569595841, 8)},
+    "TABLE2_QUOTIENTS": {**ref.TABLE2_QUOTIENTS, 5: Fraction(9009, 8), 19: Fraction(1, 8)},
+    "THM1_SURVIVORS": tuple([1] + S7),
+    "LAMBDA8_CANDIDATES": (8, 42, 75, 130),
+    "THM51_SETS": {**ref.THM51_SETS, 5: tuple(S51[1:]), 7: (), 8: (1,)},
+    "THM52_SETS": {**ref.THM52_SETS, 3: tuple(S52[1:]), 6: (2,)},
+}
+LINES_24M = [
+    f"lambda-admissible set: computed {M} != reference {M[1:] + [154]} "
+    "(extra m: [5]; missing m: [154])",
+    f"u=k eliminated: computed {K} != reference {[9] + K[1:]} (extra m: [8]; missing m: [9])",
+    "u=k quotient at m=8: 1569595833/8 != reference 1569595841/8",
+    f"u=k+4 eliminated: computed {K4} != reference {K4[1:]} (extra m: [5])",
+    "u=k+4 quotient at m=5: 9009/4 != reference 9009/8",
+    "u=k+4 quotient at m=19: 10290542185356908976248643/8 != reference 1/8",
+]
+T4, T5 = list(ref.THM52_SETS[4]), list(ref.THM52_SETS[5])
+MISMATCH_LINES = {
+    "lemma1": LINES_24M[:1],
+    "thm2": LINES_24M[:3],
+    "thm3": LINES_24M,
+    "thm1": LINES_24M + [f"surviving set: computed {S7} != reference {[1] + S7} "
+                         "(missing m: [1])"],
+    "thm4": LINES_24M + ["lambda_8 candidates: computed [8, 42, 63, 75, 130] != reference "
+                         "[8, 42, 75, 130] (extra m: [63])"],
+    "thm5.1": [f"stage t=5: computed {S51} != reference {S51[1:]} (extra m: [15])",
+               "stage t=7: computed [58] != reference [] (extra m: [58])",
+               "stage t=8: computed [] != reference [1] (missing m: [1])"],
+    "thm5.2": [f"stage t=3: computed {S52} != reference {S52[1:]} (extra m: [5])",
+               f"stage t=4: computed {sorted(T4 + [23])} != reference {T4} (extra m: [23])",
+               f"stage t=5: computed {sorted(T5 + [23])} != reference {T5} (extra m: [23])",
+               "stage t=6: computed [] != reference [2] (missing m: [2])"],
+}
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_mismatch_lines_under_a_perturbed_reference(monkeypatch, theorem_id):
+    for name, value in PERTURBED.items():
+        monkeypatch.setattr(ref, name, value)
+    outcome = run_theorem(theorem_id, timestamp=False)
+    assert outcome.mismatches == [f"{theorem_id} {line}" for line in MISMATCH_LINES[theorem_id]]
+
+
 def test_unknown_id_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown id 'thm9'; expected one of \("):
         run_theorem("thm9")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^--t staging only applies to thm5\.1 / thm5\.2$"):
         run_theorem("thm1", upto_t=7)
+    with pytest.raises(ValueError, match=r"^thm5\.1 starts at strength 5; --t 4 is below it$"):
+        run_theorem("thm5.1", upto_t=4)
+    with pytest.raises(ValueError, match=r"^thm5\.2 starts at strength 3; --t 2 is below it$"):
+        run_theorem("thm5.2", upto_t=2)
 
 
 def test_all_ids_exposed():
@@ -113,7 +171,9 @@ def test_all_ids_exposed():
 
 
 # SHA-256 of render(run_theorem(id, timestamp=False, upto_t=t).report, fmt),
-# taken from the drivers before the family-24m chain became a staged ladder.
+# taken from the drivers before the family-24m chain became a staged ladder;
+# the --t entries other than thm5.1 --t 7 and thm5.2 --t 3 were taken before
+# its strength-7 gates at u = k and u = k + 4 became two rungs.
 GOLDEN = {
     ("lemma1", None): {
         "table": "83328152f770805c4e60132caac048cba4431f7f9042c19520716097f18298fb",
@@ -143,14 +203,46 @@ GOLDEN = {
         "table": "6c462ff4a07df7de8baa8aed335b0850570ed3ed02d00b6517075e76e5a421fb",
         "csv": "b5cf51094f4b48a315fa08760d904fec2764b72f7ba3534e325502daf27b81fa",
         "json": "4d10e3ef342015333f9393cdb59cb88c6ac852cd6e6fea6e83389bad7046e2f8"},
+    ("thm5.1", 5): {
+        "table": "193f0f9986fe565aa682abaafe2da2bc0e4a5f205d7c1788790b3d1bba65e8b8",
+        "csv": "16d22d927fdea59aaf178648e0e773d673620596833dc37927fe3e97eed5e8e8",
+        "json": "0a9b89abe1c65232d6a014a5769aa4219c6a589e684e290f03983423c53ef0d6"},
+    ("thm5.1", 6): {
+        "table": "301def5be8c763b6d3c508057949a34e7967feb636fb0e435de402c31ce57896",
+        "csv": "864efef4ae3b57e20e069fb4720e33732578d4db5c16e99277a2c6c2db7b97bc",
+        "json": "8498fea6052082e6a69c05e5656d50994a7cd7efc1e45d5c809077890b15dfdc"},
     ("thm5.1", 7): {
         "table": "5d66e6ed3ecba7574e7b7850f8ea803644816698f1cd770ce282034959ffe4ba",
         "csv": "32e39bc981b2feb183dd6baf70e8b918fa4949a2a056d7df5ccfe480de3e79fd",
         "json": "aad31079a30c127202204c6fdcf8da249701f11ae687aae426a7cf1c38dac397"},
+    ("thm5.1", 8): {
+        "table": "41d6714ae8ab9252e01a8e61035cd77b24a8bcd830348bf8b75577f4d07f14d8",
+        "csv": "bff87b498df9bc6de67ac0fe5350e6baade692d8b47d253763753a06a12d308d",
+        "json": "94f8a85654284deb8a69712f16a80b66b456aaf74879326e2d29718dd88680a0"},
+    ("thm5.1", 9): {
+        "table": "41d6714ae8ab9252e01a8e61035cd77b24a8bcd830348bf8b75577f4d07f14d8",
+        "csv": "bff87b498df9bc6de67ac0fe5350e6baade692d8b47d253763753a06a12d308d",
+        "json": "94f8a85654284deb8a69712f16a80b66b456aaf74879326e2d29718dd88680a0"},
     ("thm5.2", 3): {
         "table": "beaf7961f1c3d82cca872f6edad55b0812169e2abed76ae3db808725da9b7087",
         "csv": "635fd2673f9640b87fd5efe728f1b82d9b327528df9a5b9062c84dcc061df36c",
         "json": "7adbcc17bf7c209f309627a1a6d817c4c081ef5ebec3d32a4b925ddd83886167"},
+    ("thm5.2", 4): {
+        "table": "8c6a2a26638e97d68d096de1ee68804aaf753464a9492474d6b87b274573d61a",
+        "csv": "da2985117497e1d7f41417826fb4992897c923194e538612be275d9a2dc6d728",
+        "json": "755408dd8fa41b0f6b2c080bb05cc7b5a443fcb5ff4997f6ea99c77aedd0fc2a"},
+    ("thm5.2", 5): {
+        "table": "5c50afdbab913f1da03988ef7def2362a49e0dc19c39f440e638aa79375e4fe3",
+        "csv": "965e42a1c1fd6f8fefe0cd77e037bdbe15b41c656ada4b4609bdbf708e30f2ca",
+        "json": "2905b9f7caf0bebcfff7eb09517dd88306ddd7da3a6df59d3f89fc2c49b5bf40"},
+    ("thm5.2", 6): {
+        "table": "6c462ff4a07df7de8baa8aed335b0850570ed3ed02d00b6517075e76e5a421fb",
+        "csv": "b5cf51094f4b48a315fa08760d904fec2764b72f7ba3534e325502daf27b81fa",
+        "json": "4d10e3ef342015333f9393cdb59cb88c6ac852cd6e6fea6e83389bad7046e2f8"},
+    ("thm5.2", 7): {
+        "table": "6c462ff4a07df7de8baa8aed335b0850570ed3ed02d00b6517075e76e5a421fb",
+        "csv": "b5cf51094f4b48a315fa08760d904fec2764b72f7ba3534e325502daf27b81fa",
+        "json": "4d10e3ef342015333f9393cdb59cb88c6ac852cd6e6fea6e83389bad7046e2f8"},
 }
 
 
@@ -180,9 +272,14 @@ def test_driver_report_matches_the_independent_checker(checker_reports, theorem_
         assert got == checker.project(expected, fmt), fmt
 
 
-@pytest.mark.parametrize("theorem_id,r,t", [("thm1", 0, 6), ("thm5.2", 2, 3)])
+@pytest.mark.parametrize("theorem_id,r,t", [
+    ("lemma1", 0, 6), ("thm1", 0, 6), ("thm2", 0, 6), ("thm3", 0, 6), ("thm4", 0, 6),
+    ("thm5.1", 1, 5), ("thm5.2", 2, 3)])
 def test_vacuous_next_weight_gate_raises(monkeypatch, theorem_id, r, t):
-    # The first member to reach a gate is the first of the stage's lambda scan.
+    # The first member to reach a u = k + 4 gate is the first of the first
+    # rung's lambda scan (in family 24m, that member passes the u = k rung
+    # first).  Every family-24m view runs the whole ladder, so lemma1 and
+    # thm2 raise too.
     first = admissible_scan(r, t)[0]
 
     def without_next_weight(family, m):  # every member's A_{k+4} read as 0
