@@ -3,14 +3,16 @@
 
 Exit status is 0 when the only reference mismatches are the documented ones
 (the family-24m+16 sets at t = 4 and t = 5, which omit m = 23); any other
-mismatch exits 1.  An --out-dir that cannot be made a directory (it names a
-file, or lies under one) exits 3 with one "i/o error:" line before any driver
-runs, and so does a report that cannot be written, at that report.
+mismatch exits 1.  An --out-dir that cannot be made a directory (it is empty,
+names a file, or lies under one) exits 3 with one "i/o error:" line before
+any driver runs, and so does a report that cannot be written, at that report.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from pathlib import Path
@@ -28,6 +30,8 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
+        if not args.out_dir:  # Path("") would be the current directory
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out_dir)
         return _reproduce(Path(args.out_dir), timestamp=not args.no_timestamp)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -11,21 +11,17 @@ the reference data in :mod:`designgate.reference_sets`:
     thm5.1   family 24m+8: staged ladder, strengths 5 to 8
     thm5.2   family 24m+16: staged ladder, strengths 3 to 6
 
-All three families run one kind of staged ladder, which alternates
-lambda-integrality filters with default-offset integrality gates.  A rung is
-(t, the offset lengths it gates, the weights u - k it gates at); its lambda
-levels are those above the previous rung's strength, so a rung at the
-previous rung's strength adds none.  A rung's gates run by offset length,
-then by weight; the first non-integral quotient eliminates the candidate.
-A member whose extremal enumerator has no codewords of weight k + 4 would
-make a u = k + 4 gate vacuous, and raises ValueError instead.  Family 24m's
-strength-7 gates at u = k and at u = k + 4 are two rungs, and its drivers
-are views over one run of its ladder.  Stage 6 of the 24m+8 ladder carries
-lambda conditions only, matching the reference classification (which does
-not sharpen there); its offset-length-6 gates run as part of stage 7, where
-they remain valid since a 7-design is in particular a 6-design.  Every
-driver renders each stage as row groups: gate rows, then a set row diffed
-against the reference.
+All three families run one kind of staged ladder, ``RUNGS``, which
+alternates lambda-integrality filters with default-offset integrality gates.
+A rung's filter passes a member whose levels lambda_0..lambda_t are counts;
+its gates run by offset length, then by weight, and the first non-integral
+quotient eliminates the member.  A member without codewords of weight k + 4
+would make a u = k + 4 gate vacuous, and raises ValueError instead.  Stage 6
+of the 24m+8 ladder carries lambda conditions only, matching the reference
+classification (which does not sharpen there); its offset-length-6 gates run
+in stage 7, where they remain valid since a 7-design is a 6-design.  One run
+of a family's ladder gives each m a terminal record, and each driver is a
+list of views over those records, ``DRIVERS``.
 """
 
 from __future__ import annotations
@@ -36,14 +32,43 @@ from .gate import integrality_gate
 from .report import Report, gate_row, set_row, timestamp_now
 
 # Per family, its rungs (t, the offset lengths gated at strength t, the
-# weights u - k gated at).  A rung's lambda levels are those above the
-# previous rung's strength, or above the family's base strength for the
-# first rung; a rung at the previous rung's strength adds none.
+# weights u - k gated at).
 RUNGS = (
     ((7, (7,), (0,)), (7, (7,), (4,)), (8, (8,), (0, 4))),
     ((5, (5,), (0, 4)), (6, (), ()), (7, (6, 7), (0, 4)), (8, (), ())),
     ((3, (3,), (0, 4)), (4, (4,), (0, 4)), (5, (5,), (0, 4)), (6, (), ())),
 )
+
+# A view is (set-row label, stage, rung, members shown, reference name,
+# mismatch label, quotient checks...).  It shows the members its rung's gates
+# eliminate ("eliminated") or those past its rung ("survivors"), after the
+# rung's gate rows; or, for an int s, those reaching its rung whose first
+# non-count lambda level is above s.  A view with a mismatch label diffs its
+# set against the named reference as it reads when the driver runs (a staged
+# family's sets by stage; no name for the empty set).  A quotient check
+# (gate label, table name) diffs each of the rung's gate quotients.
+_ADMISSIBLE = ("strength-6 lambda-admissible", None, 0, 7, "LEMMA1_M", "lambda-admissible set")
+_U_K = ("eliminated by u=k gate", 7, 0, "eliminated", "THM2_ELIMINATED", "u=k eliminated",
+        ("u=k", "TABLE1_QUOTIENTS"))
+_U_K4 = ("eliminated by u=k+4 gate", 7, 1, "eliminated", "THM3_ELIMINATED", "u=k+4 eliminated",
+         ("u=k+4", "TABLE2_QUOTIENTS"))
+
+# Per driver id, in the order of THEOREM_IDS: its family and its views.
+DRIVERS = {
+    "lemma1": (0, (_ADMISSIBLE,)),
+    "thm1": (0, (_ADMISSIBLE, _U_K, _U_K4,
+                 ("strength-7 survivors", 7, 2, 7, "THM1_SURVIVORS", "surviving set"))),
+    "thm2": (0, (_ADMISSIBLE, _U_K)),
+    "thm3": (0, (_ADMISSIBLE, _U_K, _U_K4)),
+    "thm4": (0, (_ADMISSIBLE, _U_K, _U_K4,
+                 ("lambda_8-integral candidates", 8, 0, 8, "LAMBDA8_CANDIDATES",
+                  "lambda_8 candidates"),
+                 ("not yet eliminated", 8, 2, 8, None, None),
+                 ("strength-8 survivors", 8, 2, "survivors", None, "surviving set"))),
+    **{tid: (r, tuple((f"t={t} survivors", t, i, "survivors", name, f"stage t={t}")
+                      for i, (t, _, _) in enumerate(RUNGS[r])))
+       for tid, r, name in (("thm5.1", 1, "THM51_SETS"), ("thm5.2", 2, "THM52_SETS"))},
+}
 
 
 class TheoremOutcome:
@@ -54,112 +79,81 @@ class TheoremOutcome:
         self.mismatches = [] if mismatches is None else mismatches
 
 
-def _run_ladder(r: int, upto_t: int | None = None) -> list[tuple]:
-    """Run family r's rungs over m in [1, m_max], stopping after strength
-    ``upto_t`` when given.  Returns, per rung run, the tuple (its strength,
-    the candidates passing its lambda filter, its gate results in execution
-    order, its survivors)."""
-    candidates, runs = list(range(1, M_MAXES[r] + 1)), []
-    for t, gate_ls, weights in RUNGS[r]:
-        if upto_t is not None and t > upto_t:
-            break
-        passed, gates, survivors = [], [], []
-        for m in candidates:
-            rec = member(r, m)
-            if len(rec.levels) <= t:  # lambda_t or a level below is not a count
-                continue
-            passed.append(m)
-            f = rec.family
+def _run_ladder(r: int, rungs) -> tuple[dict, list[tuple]]:
+    """Run ``rungs`` of family r over m in [1, m_max].  Returns each m's
+    terminal record (the index of the rung where m stops, or the number of
+    rungs for a survivor; the index of its first lambda level that is not a
+    count; the failing gate result, or None), and every gate result with its
+    rung index, in execution order."""
+    gates = []
+
+    def terminal(rec) -> tuple:
+        f, j = rec.family, len(rec.levels)
+        for i, (t, gate_ls, weights) in enumerate(rungs):
+            if j <= t:  # lambda_t or a level below is not a count
+                return i, j, None
             if 4 in weights and rec.next_count <= 0:
-                raise ValueError(f"vacuous u = k + 4 gate at m = {m} of family {f.label}: "
+                raise ValueError(f"vacuous u = k + 4 gate at m = {f.m} of family {f.label}: "
                                  "no codewords there")
             for res in (integrality_gate(f, l, f.k + d) for l in gate_ls for d in weights):
-                gates.append(res)
+                gates.append((i, res))
                 if not res.integral:
-                    break
-            else:
-                survivors.append(m)
-        runs.append((t, passed, gates, survivors))
-        candidates = survivors
-    return runs
+                    return i, j, res
+        return len(rungs), j, None
+
+    return {m: terminal(member(r, m)) for m in range(1, M_MAXES[r] + 1)}, gates
 
 
-def _group(report: Report, label: str, ms, stage: int | None, what: str | None = None,
-           reference=(), gates=()) -> list[str]:
-    """Append one row group, its gate rows and then its set row, to the
-    report.  Returns the set's mismatch against the reference, labelled with
-    the report's id and ``what``: none on a match, or for a group without
-    ``what``."""
-    report.rows += [gate_row(res, stage=stage) for res in gates]
-    report.rows.append(set_row(label, ms, stage))
-    got, want = set(ms), set(reference)
-    if what is None or got == want:
+def _members(records: dict, rung: int, shown) -> list[int]:
+    """The members a view shows, in order of m."""
+    if shown == "eliminated":
+        return [m for m, (stop, _, failed) in records.items() if stop == rung and failed]
+    if shown == "survivors":
+        return [m for m, (stop, _, _) in records.items() if stop > rung]
+    return [m for m, (stop, level, _) in records.items() if stop >= rung and level > shown]
+
+
+def _diff(what: str, ms: list[int], name: str | None, stage: int | None) -> list[str]:
+    """The mismatch of ``ms`` against the named reference: none on a match."""
+    want = getattr(ref, name) if name else ()
+    got, want = set(ms), set(want[stage] if isinstance(want, dict) else want)
+    if got == want:
         return []
-    extra = sorted(got - want)
-    missing = sorted(want - got)
-    parts = []
-    if extra:
-        parts.append(f"extra m: {extra}")
-    if missing:
-        parts.append(f"missing m: {missing}")
-    return [f"{report.id} {what}: computed {sorted(got)} != reference {sorted(want)} "
-            f"({'; '.join(parts)})"]
-
-
-def _report_24m(report: Report, runs: list[tuple]) -> tuple[list[int], list[str]]:
-    """lemma1 and thm1-thm4 as views over one run of the 24m ladder: the
-    first rung's lambda filter is lemma1's scan, the two strength-7 rungs
-    hold thm2's and thm3's gates, and the strength-8 rung is thm4's."""
-    (_, M, gates_k, left), (_, _, gates_k4, survivors7), (_, left8, gates8, survivors8) = runs
-    tid = report.id
-    mism = _group(report, "strength-6 lambda-admissible", M, None, "lambda-admissible set",
-                  ref.LEMMA1_M)
-    rungs7 = (("u=k", gates_k, ref.THM2_ELIMINATED, ref.TABLE1_QUOTIENTS),
-              ("u=k+4", gates_k4, ref.THM3_ELIMINATED, ref.TABLE2_QUOTIENTS))
-    shown = {"lemma1": 0, "thm2": 1}.get(tid, 2)  # strength-7 rungs in the view
-    for label, gates, eliminated, quotients in rungs7[:shown]:
-        elim = [res.m for res in gates if not res.integral]
-        mism += _group(report, f"eliminated by {label} gate", elim, 7, f"{label} eliminated",
-                       eliminated, gates)
-        mism += [f"{tid} {label} quotient at m={res.m}: {res.quotient} != reference "
-                 f"{quotients[res.m]}" for res in gates
-                 if quotients.get(res.m, res.quotient) != res.quotient]
-    if tid == "thm1":
-        mism += _group(report, "strength-7 survivors", survivors7, 7, "surviving set",
-                       ref.THM1_SURVIVORS)
-    if tid == "thm4":  # the lambda_8 row is taken over all of lemma1's set
-        cands8 = [m for m in M if len(member(0, m).levels) > 8]
-        mism += _group(report, "lambda_8-integral candidates", cands8, 8, "lambda_8 candidates",
-                       ref.LAMBDA8_CANDIDATES)
-        mism += _group(report, "not yet eliminated", left8, 8)
-        mism += _group(report, "strength-8 survivors", survivors8, 8, "surviving set", (), gates8)
-    return {"lemma1": M, "thm2": left, "thm4": survivors8}.get(tid, survivors7), mism
+    parts = [f"{kind} m: {sorted(s)}" for kind, s in (("extra", got - want),
+                                                     ("missing", want - got)) if s]
+    return [f"{what}: computed {sorted(got)} != reference {sorted(want)} ({'; '.join(parts)})"]
 
 
 def run_theorem(theorem_id: str, timestamp: bool = True,
                 upto_t: int | None = None) -> TheoremOutcome:
     """Run the named driver; returns its report and any reference mismatches."""
-    if theorem_id not in THEOREM_IDS:
+    if theorem_id not in DRIVERS:
         raise ValueError(f"unknown id {theorem_id!r}; expected one of {THEOREM_IDS}")
-    r = {"thm5.1": 1, "thm5.2": 2}.get(theorem_id, 0)
+    r, views = DRIVERS[theorem_id]
+    rungs = RUNGS[r]
     if upto_t is not None:
         if r == 0:
             raise ValueError("--t staging only applies to thm5.1 / thm5.2")
-        if upto_t < RUNGS[r][0][0]:
-            raise ValueError(f"{theorem_id} starts at strength {RUNGS[r][0][0]}; "
+        if upto_t < rungs[0][0]:
+            raise ValueError(f"{theorem_id} starts at strength {rungs[0][0]}; "
                              f"--t {upto_t} is below it")
-    runs = _run_ladder(r, upto_t)
-    report = Report(id=theorem_id, inputs={"family": FAMILY_LABELS[r],
-                                           "m_range": [1, M_MAXES[r]]})
-    if r == 0:
-        surviving, mismatches = _report_24m(report, runs)
-    else:
-        reference = ref.THM51_SETS if r == 1 else ref.THM52_SETS
-        mismatches = []
-        for t, _, gates, surviving in runs:
-            mismatches += _group(report, f"t={t} survivors", surviving, t, f"stage t={t}",
-                                 reference[t], gates)
-    report.surviving_set = surviving
-    if timestamp:
-        report.generated_at = timestamp_now()
+        rungs = [rung for rung in rungs if rung[0] <= upto_t]
+        views = views[:len(rungs)]  # thm5.x: one view per rung
+    records, gates = _run_ladder(r, rungs)
+    report = Report(id=theorem_id, inputs={"family": FAMILY_LABELS[r], "m_range": [1, M_MAXES[r]]},
+                    generated_at=timestamp_now() if timestamp else None)
+    mismatches = []
+    for label, stage, rung, shown, name, what, *checks in views:
+        ms = _members(records, rung, shown)
+        decided = [res for i, res in gates if i == rung] if isinstance(shown, str) else []
+        report.rows += [gate_row(res, stage=stage) for res in decided]
+        report.rows.append(set_row(label, ms, stage))
+        if what:
+            mismatches += _diff(f"{theorem_id} {what}", ms, name, stage)
+        for gates_label, table in checks:
+            quotients = getattr(ref, table)
+            mismatches += [f"{theorem_id} {gates_label} quotient at m={res.m}: {res.quotient} "
+                           f"!= reference {quotients[res.m]}" for res in decided
+                           if quotients.get(res.m, res.quotient) != res.quotient]
+        report.surviving_set = _members(records, rung, "survivors") if shown == "eliminated" else ms
     return TheoremOutcome(report, mismatches)

@@ -12,11 +12,11 @@ from designgate.families import THEOREM_IDS
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+def _run(script: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, cwd=cwd)
 
 
 def test_reproduce_all_reproduces_six_drivers_and_knows_the_thm52_diff(tmp_path):
@@ -31,20 +31,24 @@ def test_reproduce_all_reproduces_six_drivers_and_knows_the_thm52_diff(tmp_path)
         f"{tid.replace('.', '_')}.json" for tid in THEOREM_IDS)
 
 
-@pytest.mark.parametrize("out_dir,written", [("a_file", 0), ("a_file/sub", 0),
+@pytest.mark.parametrize("out_dir,written", [("a_file", 0), ("a_file/sub", 0), ("", 0),
                                               ("reports", 0), ("reports", 1)])
 def test_reproduce_all_refuses_what_it_cannot_write_with_one_error_line(
         tmp_path, out_dir, written):
-    # A file where the directory should be fails before any driver runs; a
-    # directory where the n-th report should be fails at that report, after
-    # the summary lines of the reports before it.
+    # A file where the directory should be, or an empty --out-dir (which
+    # Path would read as the current directory), fails before any driver
+    # runs; a directory where the n-th report should be fails at that report,
+    # after the summary lines of the reports before it.  The script runs in
+    # tmp_path, so out_dir is relative to it.
     (tmp_path / "a_file").write_text("kept\n")
     blocked = tmp_path / "reports" / f"{THEOREM_IDS[written].replace('.', '_')}.json"
     blocked.mkdir(parents=True)
     before = sorted(tmp_path.rglob("*"))
-    proc = _run("reproduce_all.py", "--no-timestamp", "--out-dir", str(tmp_path / out_dir))
+    proc = _run("reproduce_all.py", "--no-timestamp", "--out-dir", out_dir, cwd=tmp_path)
     assert proc.returncode == 3
     assert proc.stderr.startswith("i/o error: [Errno ") and proc.stderr.count("\n") == 1
+    if not out_dir:
+        assert proc.stderr == "i/o error: [Errno 2] No such file or directory: ''\n"
     assert [line.split()[0] for line in proc.stdout.splitlines()] == list(THEOREM_IDS[:written])
     reports = [tmp_path / "reports" / f"{tid.replace('.', '_')}.json"
                for tid in THEOREM_IDS[:written]]

@@ -1,15 +1,16 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import count
 
 import checker
 import pytest
 
-from designgate import families
+from designgate import cli, families, theorems
 from designgate import reference_sets as ref
 from designgate.families import admissible_scan
 from designgate.report import render
-from designgate.theorems import THEOREM_IDS, run_theorem
+from designgate.theorems import DRIVERS, THEOREM_IDS, run_theorem
 
 
 def _sets(report):
@@ -168,6 +169,76 @@ def test_unknown_id_rejected():
 
 def test_all_ids_exposed():
     assert THEOREM_IDS == ("lemma1", "thm1", "thm2", "thm3", "thm4", "thm5.1", "thm5.2")
+
+
+def test_driver_table_lists_the_ids_the_cli_offers():
+    # The CLI offers families.THEOREM_IDS without importing the drivers
+    # (test_imports pins that), so the driver table must hold exactly those
+    # ids, in that order.
+    assert tuple(DRIVERS) == THEOREM_IDS == families.THEOREM_IDS
+    (_, choices, _, _), *_ = cli.COMMANDS["theorem"][1]
+    assert choices == THEOREM_IDS
+
+
+# Each driver family's ladder in the checker's terms: per rung, the lambda
+# levels it adds and its gates as (offset length, u - k), in order.  Family
+# 24m spells out the paper's chain; the staged families read checker.LADDERS.
+CHECKER_24M = (((6, 7), ((7, 0),)), ((), ((7, 4),)), ((8,), ((8, 0), (8, 4))))
+
+
+def _checker_ladder(theorem_id, upto_t):
+    if theorem_id not in checker.LADDERS:
+        return 0, CHECKER_24M
+    r, stages = checker.LADDERS[theorem_id]
+    return r, tuple((levels, tuple((l, d) for l in ls for d in (0, 4)))
+                    for t, levels, ls in stages if upto_t is None or t <= upto_t)
+
+
+def _checker_climb(r, m, ladder):
+    """m's terminal record (stop rung, first non-count level, failing gate's
+    (t, u, quotient) or None) and its gates as (rung, (m, t, u, quotient)),
+    all by the checker's route."""
+    k = checker.Member(r, m).k
+    level = next(i for i in count() if not checker.is_count(checker.level(r, m, i)))
+    gates = []
+    for i, (levels, rung_gates) in enumerate(ladder):
+        if not checker.levels_pass(r, m, levels):
+            return (i, level, None), gates
+        for l, d in rung_gates:
+            q = checker.gate(r, m, l, k + d)[1]
+            gates.append((i, (m, l, k + d, q)))
+            if q.denominator != 1:
+                return (i, level, (l, k + d, q)), gates
+    return (len(ladder), level, None), gates
+
+
+@pytest.mark.parametrize("theorem_id,upto_t", [(tid, None) for tid in THEOREM_IDS] + [
+    ("thm5.1", t) for t in range(5, 9)] + [("thm5.2", t) for t in range(3, 7)])
+def test_terminal_records_match_the_independent_checker(monkeypatch, theorem_id, upto_t):
+    # The driver's one ladder run, read through a spy on _run_ladder, gives
+    # every m the rung where it stops, its first non-count lambda level and
+    # its failing gate; the checker climbs its own ladder to the same record.
+    runs, real = [], theorems._run_ladder
+
+    def spy(r, rungs):
+        runs.append((r, real(r, rungs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(theorems, "_run_ladder", spy)
+    run_theorem(theorem_id, timestamp=False, upto_t=upto_t)
+    [(r, (records, gates))] = runs
+    want_r, ladder = _checker_ladder(theorem_id, upto_t)
+    assert r == want_r
+    want_records, want_gates = {}, []
+    for m in range(1, checker.M_MAX[r] + 1):
+        want_records[m], climbed = _checker_climb(r, m, ladder)
+        want_gates += climbed
+    got = {m: (stop, level, None if res is None else (res.t, res.u, res.quotient))
+           for m, (stop, level, res) in records.items()}
+    assert got == want_records
+    by_rung = sorted(((i, (res.m, res.t, res.u, res.quotient)) for i, res in gates),
+                     key=lambda g: g[0])
+    assert by_rung == sorted(want_gates, key=lambda g: g[0])
 
 
 # SHA-256 of render(run_theorem(id, timestamp=False, upto_t=t).report, fmt),
