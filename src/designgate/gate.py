@@ -34,6 +34,8 @@ runs F = d + (u - h) * F over them.  The moment route is its test oracle.
 
 from __future__ import annotations
 
+import math
+
 from ._record import Record
 from .combinat import annihilator_divisor, binom, exact_quotient, falling, offset_coefficients
 from .families import (
@@ -228,57 +230,39 @@ def solve_intersection_numbers(
     free_levels: list[int],
     fixed: dict[int, int] | None = None,
 ) -> IntersectionSolution:
-    """Solve for the intersection counts n_i at the given free levels from
-    the moment equations sum_i (i)_s n_i = (u)_s lambda_s, s = 0..len-1.
+    """Solve for the intersection counts n_i at the L given free levels from
+    the moment equations sum_i (i)_s n_i = (u)_s lambda_s, s = 0..L-1.
 
     ``fixed`` pins known counts at other levels (for the self-intersection
-    case the reference block contributes n_k = 1).  The system must be
-    square; it is solved exactly by Gaussian elimination over Fractions.
+    case the reference block contributes n_k = 1); their share is taken out
+    of the moments first, leaving A_s.  Each count then comes from the
+    offset identity: the product over the other free levels j vanishes at
+    each of them, so with c = offset_coefficients(others),
+    n_i = sum_h c_h A_h / prod_j (i - j), an exact Fraction.
     """
-    from fractions import Fraction
     if len(set(free_levels)) != len(free_levels):
         raise ValueError("free levels must be distinct")
     if fixed:
         overlap = set(free_levels) & set(fixed)
         if overlap:
             raise ValueError(f"levels both free and fixed: {sorted(overlap)}")
-    lambdas = lambda_vector(d)
-    neq = len(free_levels)
-    if neq > len(lambdas):
+    lambdas = lambda_vector(d)  # Fractions, so each count below is one too
+    levels = sorted(free_levels)
+    if len(levels) > len(lambdas):
         raise ValueError(
-            f"system is under-determined: {neq} unknowns but only "
+            f"system is under-determined: {len(levels)} unknowns but only "
             f"{len(lambdas)} moment equations available"
         )
-    levels = sorted(free_levels)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for s in range(neq):
-        rows.append([Fraction(falling(i, s)) for i in levels])
-        target = falling(u, s) * lambdas[s]
-        for i0, c0 in (fixed or {}).items():
-            target -= falling(i0, s) * c0
-        rhs.append(Fraction(target))
-    sol = _solve_square(rows, rhs)
-    entries = tuple(zip(levels, sol))
+    moments = [falling(u, s) * lambdas[s]
+               - sum(falling(i, s) * c for i, c in (fixed or {}).items())
+               for s in range(len(levels))]
+    entries = []
+    for i in levels:
+        others = [j for j in levels if j != i]
+        share = sum(c * a for c, a in zip(offset_coefficients(others), moments))
+        entries.append((i, share / math.prod(i - j for j in others)))
     return IntersectionSolution(
-        entries=entries,
+        entries=tuple(entries),
         negative_levels=tuple(lv for lv, v in entries if v < 0),
         nonintegral_levels=tuple(lv for lv, v in entries if v.denominator != 1),
     )
-
-
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rows)
-    a = [row[:] + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular moment system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]

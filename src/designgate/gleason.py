@@ -123,7 +123,10 @@ class WeightEnumerator(Record):
             raise ValueError("coefficient list must have n + 1 entries")
 
     def coefficient(self, w: int) -> int:
-        return self.coefficients[w]
+        """A_w, for a weight w in 0..n."""
+        if 0 <= w <= self.n:
+            return self.coefficients[w]
+        raise ValueError(f"weight {w} outside 0..{self.n}")
 
     def min_nonzero_weight(self) -> int:
         for w in range(1, self.n + 1):

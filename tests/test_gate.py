@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -288,6 +289,30 @@ def test_solve_golay_intersections():
     for s in range(6):
         total = sum(falling(i, s) * n for i, n in dist.items())
         assert total == falling(8, s) * GOLAY_LAMBDAS[s]
+
+
+def test_solved_counts_satisfy_the_moment_equations_they_came_from():
+    # Multiply back: sum_i (i)_s n_i over the free and fixed levels must be
+    # (u)_s lambda_s for every s < L, with falling factorials from math.perm.
+    rng = random.Random(20261020)
+    cases = 0
+    for m, r in GATE_SPREAD:
+        f = CodeFamily(m, r)
+        for t in range(f.am_strength, min(f.k, 9) + 1):
+            d = design_params(f, t)
+            lambdas = lambda_vector(d)
+            for fixed in (None, {f.k: 1}):
+                free = rng.sample(range(0, f.k, 2), min(rng.randint(1, t + 1), f.k // 2))
+                u = rng.randrange(f.k, f.n - f.k + 1, 4)
+                sol = solve_intersection_numbers(d, u, free, fixed)
+                assert [lv for lv, _ in sol.entries] == sorted(free)
+                assert all(type(n) is Fraction for _, n in sol.entries)
+                counts = [*sol.entries, *(fixed or {}).items()]
+                for s in range(len(free)):
+                    total = sum(math.perm(i, s) * n for i, n in counts)
+                    assert total == math.perm(u, s) * lambdas[s], (m, r, t, u, free, fixed, s)
+                cases += 1
+    assert cases > 100
 
 
 def test_solve_degenerate_single_level():

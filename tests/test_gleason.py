@@ -76,6 +76,15 @@ def test_enumerator_n24():
     assert next_weight_count(24) == 2576
 
 
+@pytest.mark.parametrize("w", [-1, -25, 25, 48])
+def test_coefficient_refuses_a_weight_outside_the_length(w):
+    # A negative index would read A_{n+1+w} from the far end of the list.
+    enum = extremal_weight_enumerator(24)
+    assert (enum.coefficient(0), enum.coefficient(24)) == (1, 1)
+    with pytest.raises(ValueError, match=rf"^weight {w} outside 0\.\.24$"):
+        enum.coefficient(w)
+
+
 @pytest.mark.parametrize("n", [8, 16, 24, 32, 40, 48])
 def test_enumerator_invariants(n):
     enum = extremal_weight_enumerator(n)

@@ -1,6 +1,7 @@
-"""Import hygiene: the package namespace resolves lazily, and a cold start
-loads only the modules its subcommand runs.  Module sets are read in fresh
-interpreters, so the result does not depend on what the suite imported."""
+"""Import hygiene: each public name is imported from its own module, the
+package re-exporting none, and a cold start loads only the modules its
+subcommand runs.  Module sets are read in fresh interpreters, so the result
+does not depend on what the suite imported."""
 
 import importlib
 import os
@@ -13,7 +14,20 @@ import pytest
 import designgate
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-SUBMODULES = ("cli", "combinat", "families", "gate", "gleason", "report", "store", "theorems")
+# The public names, each imported from the module that defines it.
+PUBLIC_NAMES = {
+    "combinat": {"binom", "elem_sym", "falling", "stirling2", "stirling2_by_formula"},
+    "families": {"CodeFamily", "DesignParams", "NonIntegralLambdaError", "THEOREM_IDS",
+                 "admissible_scan", "apply_strengthening", "block_count", "design_params",
+                 "lambda_at", "lambda_vector"},
+    "gate": {"FAIL_NONINTEGER", "PASS", "GateResult", "IntersectionSolution", "MomentVector",
+             "NonIntegralMomentError", "OffsetSet", "annihilator_divisor", "integrality_gate",
+             "moment_vector", "offset_moment_coefficients", "offset_product_sum",
+             "residual_coefficient", "solve_intersection_numbers"},
+    "gleason": {"LENGTH_CAP", "WeightEnumerator", "extremal_weight_enumerator",
+                "min_weight_count", "next_weight_count"},
+    "theorems": {"TheoremOutcome", "run_theorem"},
+}
 
 HEAVY = {"dataclasses", "inspect"}
 # What ``fractions`` loads; only a non-integral value needs it.
@@ -145,38 +159,19 @@ def test_cli_calls_load_no_dataclasses_or_inspect(command, tmp_path):
 
 
 def test_public_names_load_no_dataclasses_or_inspect(tmp_path):
-    loaded = loaded_after("import designgate\n"
-                          "for name in designgate.__all__:\n"
-                          "    getattr(designgate, name)", tmp_path)
-    assert {"designgate.gate", "designgate.gleason", "designgate.theorems"} <= loaded
+    modules = sorted(path.stem for path in Path(SRC, "designgate").glob("*.py")
+                     if path.stem != "__init__")
+    assert set(PUBLIC_NAMES) <= set(modules)
+    loaded = loaded_after("".join(f"import designgate.{name}\n" for name in modules), tmp_path)
+    assert {f"designgate.{name}" for name in modules} <= loaded
     assert not loaded & HEAVY
 
 
-def test_public_names_are_the_submodule_objects():
-    modules = [importlib.import_module(f"designgate.{s}") for s in SUBMODULES]
-    for name in designgate.__all__:
-        value = getattr(designgate, name)
-        holders = [mod for mod in modules if hasattr(mod, name)]
-        assert holders and all(getattr(mod, name) is value for mod in holders), name
-        owner = getattr(value, "__module__", None)
-        if owner is not None and owner.startswith("designgate."):
-            assert getattr(sys.modules[owner], name) is value, name
-
-
 def test_public_names_and_version():
-    assert set(designgate.__all__) == {
-        "binom", "elem_sym", "falling", "stirling2", "stirling2_by_formula",
-        "CodeFamily", "DesignParams", "NonIntegralLambdaError", "admissible_scan",
-        "apply_strengthening", "block_count", "design_params", "lambda_at",
-        "lambda_vector",
-        "FAIL_NONINTEGER", "PASS", "GateResult", "IntersectionSolution", "MomentVector",
-        "NonIntegralMomentError", "OffsetSet", "annihilator_divisor", "integrality_gate",
-        "moment_vector", "offset_moment_coefficients", "offset_product_sum",
-        "residual_coefficient", "solve_intersection_numbers",
-        "LENGTH_CAP", "WeightEnumerator", "extremal_weight_enumerator",
-        "min_weight_count", "next_weight_count",
-        "THEOREM_IDS", "TheoremOutcome", "run_theorem",
-    }
+    for module, names in PUBLIC_NAMES.items():
+        owner = importlib.import_module(f"designgate.{module}")
+        assert all(hasattr(owner, name) for name in names), module
+    assert sum(map(len, PUBLIC_NAMES.values())) == 36
     assert designgate.__version__ == "0.1.0"
 
 
