@@ -3,13 +3,13 @@
 Subcommands: lambda, scan, gate, theorem, wenum.  Exit codes: 0 success,
 2 bad input, 3 I/O failure, 4 reference-set mismatch.
 
-Every option is one row of one table, ``COMMANDS``.  A plain argv (a
-subcommand, then exact flags, each value its own token) is read from it
-without importing argparse; any other goes to an argparse parser built from
-it, which gives the help and every error.  tests/cli_oracle.py holds both
-paths to an argparse parser written out by hand.
-Each handler imports the modules only it needs when it runs, so that a
-cold start loads no more than its subcommand uses.
+One table, ``COMMANDS``, holds every subcommand's help, options and handler.
+A plain argv (a subcommand, then exact flags, each value its own token) is
+read from it without importing argparse; any other goes to an argparse
+parser built from it, which gives the help and every error.
+tests/cli_oracle.py holds both paths to an argparse parser written out by
+hand.  Each handler imports the modules only it needs when it runs, so that
+a cold start loads no more than its subcommand uses.
 """
 
 from __future__ import annotations
@@ -34,98 +34,6 @@ from .report import FORMATS, Report, gate_row, lambda_row, render, set_row, time
 
 _FAMILY_INDEX = {label: r for r, label in enumerate(FAMILY_LABELS)}
 _JOBS_HELP = "accepted for compatibility and ignored: the work runs serially"
-
-# One row per option: its flag (a bare name for a positional), what it reads
-# (int, str, a tuple of choices, or None for a switch), its default (REQUIRED
-# if it must be given) and its help.
-REQUIRED = ...
-_FAMILY, _M, _T = (("--family", FAMILY_LABELS, REQUIRED, None),
-                   ("--m", int, REQUIRED, None), ("--t", int, REQUIRED, None))
-_JOBS = ("--jobs", int, 1, _JOBS_HELP)
-_OUT = ("--out", str, None, "write output to PATH instead of stdout")
-_REPORT = (("--format", FORMATS, "table", None), ("--no-timestamp", None, False,
-           "omit the generation timestamp (byte-deterministic output)"), _OUT)
-COMMANDS = {
-    "lambda": ("print exact lambda levels for one family member", (_FAMILY, _M, _T)),
-    "scan": ("lambda-integrality scan over an m range", (_FAMILY, _T, ("--m-min", int, None, None),
-             ("--m-max", int, None, None), _JOBS, *_REPORT)),
-    "gate": ("run one integrality gate",
-             (_FAMILY, _M, _T, ("--u", int, None, "reference weight (default: k)"), *_REPORT)),
-    "theorem": ("reproduce a classification result and diff it",
-                (("id", THEOREM_IDS, REQUIRED, None), ("--t", int, None,
-                 "for thm5.x: stop the ladder at this strength"), _JOBS, *_REPORT)),
-    "wenum": ("extremal weight enumerator coefficients", (("--n", int, REQUIRED, None), _OUT)),
-}
-
-
-def _read_plain(argv: list[str]) -> SimpleNamespace | None:
-    """The values of a plain argv, else None: a subcommand, then its options,
-    each an exact flag and, unless a switch, a value of its kind not starting
-    with '-' as the next token, with theorem's id among them and every
-    required option given.  argparse reads it the same way, and a repeated
-    option keeps its last value."""
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    opts = {flag: kind for flag, kind, _, _ in COMMANDS[argv[0]][1]}
-    values = {flag: default for flag, _, default, _ in COMMANDS[argv[0]][1]}
-    rest = argv[:0:-1]  # the tokens after the subcommand, last first
-    while rest:
-        tok = rest.pop()
-        if tok[:1] != "-":  # theorem's id, given once
-            if values.get("id", 0) is not REQUIRED:
-                return None
-            flag, value = "id", tok
-        elif tok in opts and opts[tok] is None:  # a switch
-            values[tok] = True
-            continue
-        elif tok in opts and rest:
-            flag, value = tok, rest.pop()
-        else:
-            return None
-        kind = opts[flag]
-        if value[:1] == "-" or type(kind) is tuple and value not in kind:
-            return None
-        try:
-            values[flag] = int(value) if kind is int else value
-        except ValueError:
-            return None
-    if REQUIRED in values.values():
-        return None
-    return SimpleNamespace(command=argv[0], **{flag.lstrip("-").replace("-", "_"): value
-                                               for flag, value in values.items()})
-
-
-def _argparse(argv: list[str]) -> SimpleNamespace:
-    """Read any argv with an argparse parser built from COMMANDS, refusing
-    the empty list argparse makes of --flag=--."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="designgate")
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (text, opts) in COMMANDS.items():
-        sub = commands.add_parser(name, help=text)
-        for flag, kind, default, help_text in opts:
-            how = ({"action": "store_true"} if kind is None else {"choices": kind}
-                   if type(kind) is tuple else {"type": int} if kind is int
-                   else {"metavar": "PATH"})
-            if default is not REQUIRED:
-                how["default"] = default
-            elif flag[0] == "-":
-                how["required"] = True
-            sub.add_argument(flag, help=help_text, **how)
-    args = parser.parse_args(argv)
-    for dest, value in vars(args).items():
-        if value == []:
-            flag = "--" + dest.replace("_", "-")
-            commands.choices[args.command].error(f"argument {flag}: expected one argument")
-    return SimpleNamespace(**vars(args))
-
-
-def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
-    """Read argv (default sys.argv[1:]) as tests/cli_oracle.py's parser does:
-    a plain argv without argparse, any other with it."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    return _read_plain(argv) or _argparse(argv)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -236,13 +144,98 @@ def _cmd_wenum(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "lambda": _cmd_lambda,
-    "scan": _cmd_scan,
-    "gate": _cmd_gate,
-    "theorem": _cmd_theorem,
-    "wenum": _cmd_wenum,
+# A subcommand's row is its help, options and handler; an option's, its flag (a
+# bare name for a positional), what it reads (int, str, a tuple of choices, or
+# None for a switch), its default (REQUIRED if it must be given) and its help.
+REQUIRED = ...
+_FAMILY, _M, _T = (("--family", FAMILY_LABELS, REQUIRED, None),
+                   ("--m", int, REQUIRED, None), ("--t", int, REQUIRED, None))
+_JOBS = ("--jobs", int, 1, _JOBS_HELP)
+_OUT = ("--out", str, None, "write output to PATH instead of stdout")
+_REPORT = (("--format", FORMATS, "table", None), ("--no-timestamp", None, False,
+           "omit the generation timestamp (byte-deterministic output)"), _OUT)
+COMMANDS = {
+    "lambda": ("print exact lambda levels for one family member", (_FAMILY, _M, _T), _cmd_lambda),
+    "scan": ("lambda-integrality scan over an m range", (_FAMILY, _T, ("--m-min", int, None, None),
+             ("--m-max", int, None, None), _JOBS, *_REPORT), _cmd_scan),
+    "gate": ("run one integrality gate", (_FAMILY, _M, _T, ("--u", int, None,
+             "reference weight (default: k)"), *_REPORT), _cmd_gate),
+    "theorem": ("reproduce a classification result and diff it",
+                (("id", THEOREM_IDS, REQUIRED, None), ("--t", int, None,
+                 "for thm5.x: stop the ladder at this strength"), _JOBS, *_REPORT), _cmd_theorem),
+    "wenum": ("extremal weight enumerator coefficients", (("--n", int, REQUIRED, None), _OUT),
+              _cmd_wenum),
 }
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The values of a plain argv, else None: a subcommand, then its options,
+    each an exact flag and, unless a switch, a value of its kind not starting
+    with '-' as the next token, with theorem's id among them and every
+    required option given.  argparse reads it the same way, and a repeated
+    option keeps its last value."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    opts = {flag: kind for flag, kind, _, _ in COMMANDS[argv[0]][1]}
+    values = {flag: default for flag, _, default, _ in COMMANDS[argv[0]][1]}
+    rest = argv[:0:-1]  # the tokens after the subcommand, last first
+    while rest:
+        tok = rest.pop()
+        if tok[:1] != "-":  # theorem's id, given once
+            if values.get("id", 0) is not REQUIRED:
+                return None
+            flag, value = "id", tok
+        elif tok in opts and opts[tok] is None:  # a switch
+            values[tok] = True
+            continue
+        elif tok in opts and rest:
+            flag, value = tok, rest.pop()
+        else:
+            return None
+        kind = opts[flag]
+        if value[:1] == "-" or type(kind) is tuple and value not in kind:
+            return None
+        try:
+            values[flag] = int(value) if kind is int else value
+        except ValueError:
+            return None
+    if REQUIRED in values.values():
+        return None
+    return SimpleNamespace(command=argv[0], **{flag.lstrip("-").replace("-", "_"): value
+                                               for flag, value in values.items()})
+
+
+def _argparse(argv: list[str]) -> SimpleNamespace:
+    """Read any argv with an argparse parser built from COMMANDS, refusing
+    the empty list argparse makes of --flag=--."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="designgate")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (text, opts, _) in COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        for flag, kind, default, help_text in opts:
+            how = ({"action": "store_true"} if kind is None else {"choices": kind}
+                   if type(kind) is tuple else {"type": int} if kind is int
+                   else {"metavar": "PATH"})
+            if default is not REQUIRED:
+                how["default"] = default
+            elif flag[0] == "-":
+                how["required"] = True
+            sub.add_argument(flag, help=help_text, **how)
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if value == []:
+            flag = "--" + dest.replace("_", "-")
+            commands.choices[args.command].error(f"argument {flag}: expected one argument")
+    return SimpleNamespace(**vars(args))
+
+
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """Read argv (default sys.argv[1:]) as tests/cli_oracle.py's parser does:
+    a plain argv without argparse, any other with it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return _read_plain(argv) or _argparse(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -253,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         if out and os.path.isdir(out):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
-        return _HANDLERS[args.command](args)
+        return COMMANDS[args.command][2](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,10 +31,6 @@ FAMILY_LABELS = ("24m", "24m+8", "24m+16")
 # offer them as choices without importing the drivers.
 THEOREM_IDS = ("lemma1", "thm1", "thm2", "thm3", "thm4", "thm5.1", "thm5.2")
 
-# Offset lengths above this are refused by the gates; nothing of interest
-# lives beyond strength 12 and symmetric-polynomial growth is steep.
-T_CAP = 12
-
 
 class NonIntegralLambdaError(ValueError):
     """A design hypothesis already fails at the lambda level."""
@@ -46,6 +42,13 @@ class NonIntegralLambdaError(ValueError):
         super().__init__(f"non-integral block counts for {family}: {detail}")
 
 
+def _require_ints(record: Record, *fields: str) -> None:
+    """TypeError naming the first of ``fields`` whose value is not an int."""
+    for name in fields:
+        if not isinstance(getattr(record, name), int):
+            raise TypeError(f"{name} = {getattr(record, name)!r}: an exact int is required")
+
+
 class CodeFamily(Record):
     """One member of the three extremal-code families: family index r and
     parameter m in [1, m_max] for r = 0 and in [0, m_max] for r >= 1 (the
@@ -55,6 +58,7 @@ class CodeFamily(Record):
 
     def __init__(self, m: int, r: int):
         super().__init__(m, r)
+        _require_ints(self, "m", "r")
         if self.r not in (0, 1, 2):
             raise ValueError(f"family index must be 0, 1 or 2, got {self.r}")
         lo = 1 if self.r == 0 else 0
@@ -92,6 +96,9 @@ class DesignParams(Record):
 
     def __init__(self, v: int, k: int, t: int, lambda_t: int | Fraction):
         super().__init__(v, k, t, lambda_t)
+        _require_ints(self, "v", "k", "t")
+        if isinstance(lambda_t, float):
+            raise TypeError(f"lambda_t = {lambda_t!r}: floating point is not allowed")
         if not 0 <= self.t <= self.k <= self.v:
             raise ValueError(f"need 0 <= t <= k <= v, got t={self.t} k={self.k} v={self.v}")
         if self.lambda_t < 0:
@@ -150,10 +157,10 @@ def _extremal_counts(a: int, m: int) -> tuple[int, int]:
 
 class Member(Record):
     """One family member as every layer reads it: its CodeFamily, b = A_k,
-    A_{k+4}, the leading run lambda_0..lambda_j (j <= min(k, T_CAP)) of
-    levels that are nonnegative integers, and, for base strength s <= t <= j
-    (None for t < s), the default-offset gate polynomial F(u) = sum_h d_h
-    (u)_h, d_h = c_h lambda_h, of strength t as its Horner steps:
+    A_{k+4}, the leading run lambda_0..lambda_j of levels that are counts
+    (it ends by j = 8 < k at every member), and, for s <= t <= j, s the base
+    strength (None for t < s), the default-offset gate polynomial F(u) =
+    sum_h d_h (u)_h, d_h = c_h lambda_h, of strength t as its Horner steps:
 
         gates[t] = (d_t, ((d_{t-1}, t-1), ..., (d_0, 0)), 2^t t!),
 
@@ -171,7 +178,7 @@ def member(r: int, m: int) -> Member:
     if b <= 0:
         raise ValueError(f"degenerate block count for {f}")
     levels, gates = [], [None] * f.am_strength
-    for i in range(min(f.k, T_CAP) + 1):
+    for i in range(f.k + 1):
         lam, rem = divmod(b * binom(f.k, i), binom(f.n, i))
         if rem:
             break
@@ -258,8 +265,9 @@ def check_lambda_levels(f: CodeFamily, levels) -> list[tuple[int, Fraction]]:
 
 def scan_range(r: int, m_lo: int | None = None, m_hi: int | None = None) -> range:
     """The m range [m_lo, m_hi] of a scan over family r, defaulting to the
-    family's full range [1, m_max]; ValueError if it is empty or outside."""
-    m_max = M_MAXES[r]
+    family's full range [1, m_max]; ValueError if r is not a family index or
+    the range is empty or outside."""
+    m_max = CodeFamily(1, r).m_max
     if m_lo is None:
         m_lo = 1
     if m_hi is None:

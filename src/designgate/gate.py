@@ -40,7 +40,6 @@ from ._record import Record
 from .combinat import annihilator_divisor, binom, exact_quotient, falling, offset_coefficients
 from .families import (
     AM_STRENGTHS,
-    T_CAP,
     CodeFamily,
     DesignParams,
     NonIntegralLambdaError,
@@ -191,8 +190,6 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None) -> GateResult:
         u = k
     if t < AM_STRENGTHS[r]:
         raise ValueError(f"t = {t} below base strength {AM_STRENGTHS[r]}")
-    if t > T_CAP:
-        raise ValueError(f"t = {t} above the supported cap {T_CAP}")
     if u % 4 or not k <= u <= n - k:
         raise ValueError(f"u must be a weight multiple of 4 with {k} <= u <= {n - k}, got {u}")
     gates = member(r, m).gates
@@ -216,12 +213,6 @@ class IntersectionSolution(Record):
     def __init__(self, entries: tuple[tuple[int, Fraction], ...],
                  negative_levels: tuple[int, ...], nonintegral_levels: tuple[int, ...]):
         super().__init__(entries, negative_levels, nonintegral_levels)
-
-    def value(self, level: int) -> Fraction:
-        for lv, v in self.entries:
-            if lv == level:
-                return v
-        raise KeyError(level)
 
 
 def solve_intersection_numbers(

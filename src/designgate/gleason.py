@@ -40,10 +40,10 @@ A_{k+4} at any length from the same coefficients.
 from __future__ import annotations
 
 from ._record import Record
-from .families import _burmann_coefficient, _exact_div, _extremal_counts, _phi_power_prefix
+from .families import M_MAXES, _burmann_coefficient, _exact_div, _extremal_counts, _phi_power_prefix
 
-# Largest family length the scans ever request: 24*163 + 16.
-LENGTH_CAP = 24 * 163 + 16
+# Largest family length the scans ever request: family 24m+16 at its m_max.
+LENGTH_CAP = 24 * M_MAXES[2] + 16
 
 
 def _phi_power(a: int, trunc: int) -> list[int]:
@@ -127,12 +127,6 @@ class WeightEnumerator(Record):
         if 0 <= w <= self.n:
             return self.coefficients[w]
         raise ValueError(f"weight {w} outside 0..{self.n}")
-
-    def min_nonzero_weight(self) -> int:
-        for w in range(1, self.n + 1):
-            if self.coefficients[w]:
-                return w
-        raise ValueError("no nonzero weight")
 
     def negative_weights(self) -> list[int]:
         """Weights with negative coefficients (a nonempty list means no code

@@ -74,9 +74,9 @@ DRIVERS = {
 class TheoremOutcome:
     """A driver's report and its reference mismatches (none on a match)."""
 
-    def __init__(self, report: Report, mismatches: list[str] | None = None):
+    def __init__(self, report: Report, mismatches: list[str]):
         self.report = report
-        self.mismatches = [] if mismatches is None else mismatches
+        self.mismatches = mismatches
 
 
 def _run_ladder(r: int, rungs) -> tuple[dict, list[tuple]]:

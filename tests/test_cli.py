@@ -268,7 +268,7 @@ def test_out_in_missing_directory_exits_3_before_the_work(tmp_path, capsys, monk
     def no_work(args):
         raise AssertionError(f"{args.command} ran although --out cannot be written")
 
-    monkeypatch.setitem(cli._HANDLERS, argv[0], no_work)
+    monkeypatch.setitem(cli.COMMANDS, argv[0], (*cli.COMMANDS[argv[0]][:2], no_work))
     assert main(argv + ["--out", out]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -336,9 +336,9 @@ def test_theorem_ids_offered_and_checked_by_the_parser(capsys):
     # Each help page goes to stdout alone and lists what the table holds:
     # each subcommand with its help, or each option with its help and its
     # {choices}.  argparse may wrap a line, so words are compared.
-    pages = {"": [(name, None, text) for name, (text, _) in cli.COMMANDS.items()]}
+    pages = {"": [(name, None, text) for name, (text, _, _) in cli.COMMANDS.items()]}
     pages.update((command, [(flag, kind, text) for flag, kind, _, text in opts])
-                 for command, (_, opts) in cli.COMMANDS.items())
+                 for command, (_, opts, _) in cli.COMMANDS.items())
     for command, rows in pages.items():
         with pytest.raises(SystemExit) as exc:
             main([command, "-h"] if command else ["-h"])
@@ -574,7 +574,7 @@ def test_parser_reads_like_argparse(argv, values):
     assert values.items() <= got.items()
 
 
-_ALL_FLAGS = sorted({flag for _, opts in cli.COMMANDS.values() for flag, *_ in opts
+_ALL_FLAGS = sorted({flag for _, opts, _ in cli.COMMANDS.values() for flag, *_ in opts
                      if flag.startswith("-")} | {"-h", "--help"})
 _VALUES = st.one_of(
     st.integers(-3, 200).map(str), st.integers(-10**25, 10**25).map(str),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from designgate.combinat import binom, falling, offset_coefficients
 from designgate.families import (
     M_MAXES,
-    T_CAP,
     CodeFamily,
     DesignParams,
     admissible_scan,
@@ -20,6 +19,7 @@ from designgate.families import (
     lambda_levels,
     lambda_vector,
     member,
+    scan_range,
 )
 from designgate.gate import integrality_gate
 from gleason_oracle import two_pass_prefix
@@ -149,6 +149,25 @@ def test_design_params_validation():
         DesignParams(v=10, k=11, t=2, lambda_t=Fraction(1))
 
 
+@pytest.mark.parametrize("call,error,text", [
+    # A float m or r used to construct, then fail deep in the arithmetic.
+    (lambda: CodeFamily(8.0, 0), TypeError, "m = 8.0: an exact int is required"),
+    (lambda: CodeFamily(8, 0.0), TypeError, "r = 0.0: an exact int is required"),
+    (lambda: CodeFamily(Fraction(9), 0), TypeError, "m = Fraction(9, 1): an exact int is required"),
+    # A float lambda_t used to carry its binary rounding into every level.
+    (lambda: DesignParams(24, 8, 5, 0.1), TypeError,
+     "lambda_t = 0.1: floating point is not allowed"),
+    (lambda: DesignParams(24, 8.0, 5, 1), TypeError, "k = 8.0: an exact int is required"),
+    # r = 3 used to index past M_MAXES, and r = -1 to scan family 24m+16.
+    (lambda: admissible_scan(3, 6), ValueError, "family index must be 0, 1 or 2, got 3"),
+    (lambda: scan_range(-1), ValueError, "family index must be 0, 1 or 2, got -1"),
+], ids=["float-m", "float-r", "fraction-m", "float-lambda", "float-k", "r=3", "r=-1"])
+def test_inexact_or_unknown_inputs_are_refused_where_they_enter(call, error, text):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == text
+
+
 def test_apply_strengthening():
     f0 = CodeFamily(8, 0)
     assert apply_strengthening(f0, 6) == 7
@@ -196,19 +215,20 @@ def test_member_records_match_the_independent_checker():
     import checker
 
     for r in range(3):
-        for m in range(1, M_MAXES[r] + 1):
+        for m in range(0 if r else 1, M_MAXES[r] + 1):
             rec = member(r, m)
             f = rec.family
             assert (f.r, f.m) == (r, m)
             assert rec.b == checker.block_count(r, m), f
             assert rec.next_count == checker.next_weight_count(f.n), f
             j = len(rec.levels) - 1
-            # The ladder relies on lambda_0..lambda_s being counts everywhere.
-            assert f.am_strength <= j <= min(f.k, T_CAP), f
+            # The ladder relies on lambda_0..lambda_s being counts everywhere,
+            # and every run ends by level 8, below k: no strength a gate can
+            # be asked about needs a cap beyond the run.
+            assert f.am_strength <= j <= 8 and j < f.k, f
             checker_levels = [checker.level(r, m, i) for i in range(j + 1)]
             assert list(rec.levels) == checker_levels, f
-            if j < min(f.k, T_CAP):
-                assert not checker.is_count(checker.level(r, m, j + 1)), f
+            assert not checker.is_count(checker.level(r, m, j + 1)), f
             assert len(rec.gates) == j + 1, f
             assert rec.gates[:f.am_strength] == (None,) * f.am_strength, f
             for t in range(f.am_strength, j + 1):

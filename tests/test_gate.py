@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from designgate.combinat import binom, exact_quotient, falling
 from designgate.families import (
-    T_CAP,
     CodeFamily,
     NonIntegralLambdaError,
     design_params,
@@ -209,13 +208,14 @@ def test_a_gate_cell_does_no_coefficient_work(monkeypatch):
 def test_gate_polynomial_matches_the_moment_route():
     # Horner's rule on the memoised d_h against A_h = (u)_h lambda_h and
     # F = sum_h c_h A_h, at every weight u with A_u > 0 and every strength
-    # up to T_CAP; a strength with a non-integral level must raise instead.
+    # up to 12, past every member's integral run (which ends by level 8); a
+    # strength with a non-integral level must raise instead.
     checked = {}
     for m, r in GATE_SPREAD:
         f = CodeFamily(m, r)
         enum = extremal_weight_enumerator(f.n)
         weights = [u for u in range(f.k, f.n - f.k + 1, 4) if enum.coefficient(u) > 0]
-        for t in range(f.am_strength, min(T_CAP, f.k) + 1):
+        for t in range(f.am_strength, min(12, f.k) + 1):
             lambdas = lambda_levels(f, range(t + 1))
             if nonintegral_levels(enumerate(lambdas)):
                 with pytest.raises(NonIntegralLambdaError):
@@ -261,8 +261,13 @@ def test_gate_input_validation():
     f = CodeFamily(8, 0)
     with pytest.raises(ValueError, match=r"^t = 4 below base strength 5$"):
         integrality_gate(f, 4)
-    with pytest.raises(ValueError, match=r"^t = 13 above the supported cap 12$"):
+    # No cap on t: past the member's integral run, every failing level is named.
+    with pytest.raises(NonIntegralLambdaError) as exc:
         integrality_gate(f, 13)
+    assert [i for i, _ in exc.value.levels] == [9, 10, 11, 12, 13]
+    assert exc.value.levels[0][1] == Fraction(185136, 23)
+    with pytest.raises(ValueError, match=r"^t = 13 above the block size 12$"):
+        integrality_gate(CodeFamily(2, 0), 13)
     with pytest.raises(ValueError, match=r"^t = 9 above the block size 8$"):
         integrality_gate(CodeFamily(1, 0), 9)
     with pytest.raises(ValueError, match=r"^u must be a weight multiple of 4 with "
@@ -318,7 +323,7 @@ def test_solved_counts_satisfy_the_moment_equations_they_came_from():
 def test_solve_degenerate_single_level():
     d = design_params(CodeFamily(1, 0), 5)
     sol = solve_intersection_numbers(d, 8, [0])
-    assert sol.value(0) == 759
+    assert sol.entries == ((0, 759),)
 
 
 def test_solve_rejects_bad_systems():

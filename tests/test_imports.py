@@ -16,14 +16,15 @@ import designgate
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # The public names, each imported from the module that defines it.
 PUBLIC_NAMES = {
-    "combinat": {"binom", "elem_sym", "falling", "stirling2", "stirling2_by_formula"},
+    "combinat": {"annihilator_divisor", "binom", "elem_sym", "falling", "stirling2",
+                 "stirling2_by_formula"},
     "families": {"CodeFamily", "DesignParams", "NonIntegralLambdaError", "THEOREM_IDS",
                  "admissible_scan", "apply_strengthening", "block_count", "design_params",
                  "lambda_at", "lambda_vector"},
     "gate": {"FAIL_NONINTEGER", "PASS", "GateResult", "IntersectionSolution", "MomentVector",
-             "NonIntegralMomentError", "OffsetSet", "annihilator_divisor", "integrality_gate",
-             "moment_vector", "offset_moment_coefficients", "offset_product_sum",
-             "residual_coefficient", "solve_intersection_numbers"},
+             "NonIntegralMomentError", "OffsetSet", "integrality_gate", "moment_vector",
+             "offset_moment_coefficients", "offset_product_sum", "residual_coefficient",
+             "solve_intersection_numbers"},
     "gleason": {"LENGTH_CAP", "WeightEnumerator", "extremal_weight_enumerator",
                 "min_weight_count", "next_weight_count"},
     "theorems": {"TheoremOutcome", "run_theorem"},

@@ -1,5 +1,5 @@
-"""Ground truth from real codes.  Four extremal doubly even self-dual codes
-are built here, every codeword is listed, and the weight distributions,
+"""Ground truth from real codes.  Five extremal doubly even self-dual codes
+are built here, their codewords are listed, and the weight distributions,
 block counts, lambda levels, intersection numbers and gate quotients are
 checked against direct counts over their words.
 
@@ -7,11 +7,17 @@ checked against direct counts over their words.
     e8 + e8                         family 24m+16, m = 0
     [24, 12, 8] Golay (ext. QR(23)) family 24m,    m = 1
     [32, 16, 8] extended QR(31)     family 24m+8,  m = 1
+    [48, 24, 12] extended QR(47)    family 24m,    m = 2
+
+The four short codes are listed whole.  QR(47) has 2^24 words, too many to
+list: the words listed are those with at most 6 ones on an information set
+or on its complement (an information set too, as for any self-dual code),
+which are all its words of weight below 14, blocks included.
 """
 
 from fractions import Fraction
 from itertools import combinations, islice
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 
@@ -39,17 +45,31 @@ def extended_qr_rows(p: int) -> list[int]:
     return rows
 
 
-def codewords(rows: list[int]) -> list[int]:
-    """Every codeword of the binary code spanned by ``rows``."""
-    basis = []
+def systematic(rows: list[int], columns) -> dict[int, int]:
+    """A basis of the binary code spanned by ``rows``, by pivot column: the
+    pivots are taken greedily in the order of ``columns``, and each basis
+    row has a single 1 among them."""
+    basis: dict[int, int] = {}
     for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-    words = [0]
-    for b in basis:
-        words += [w ^ b for w in words]
+        for c, b in basis.items():
+            if r >> c & 1:
+                r ^= b
+        pivot = next((c for c in columns if r >> c & 1), None)
+        if pivot is None:
+            continue
+        for c, b in basis.items():
+            if b >> pivot & 1:
+                basis[c] = b ^ r
+        basis[pivot] = r
+    return basis
+
+
+def sums_of_at_most(rows: list[int], most: int) -> list[int]:
+    """The sum of every combination of at most ``most`` of ``rows``."""
+    words, frontier = [0], [(0, 0)]  # (sum, index of the next row it may add)
+    for _ in range(most):
+        frontier = [(w ^ rows[j], j + 1) for w, i in frontier for j in range(i, len(rows))]
+        words += [w for w, _ in frontier]
     return words
 
 
@@ -59,19 +79,36 @@ CODES = {
     "e8+e8": (CodeFamily(0, 2), HAMMING + [r << 8 for r in HAMMING]),
     "golay24": (CodeFamily(1, 0), extended_qr_rows(23)),
     "qr32": (CodeFamily(1, 1), extended_qr_rows(31)),
+    "qr48": (CodeFamily(2, 0), extended_qr_rows(47)),
 }
+# Most ones a listed word has on one of the two information sets: every word
+# of a short code, and of QR(47) every word of weight below 2 * 6 + 2.
+ONES_ON_A_SIDE = {"qr48": 6}
 
 
 @pytest.fixture(scope="module", params=CODES)
 def code(request):
-    """(family member, all codewords, minimum-weight words) of one code,
-    after checking that it is doubly even, self-dual and extremal."""
+    """(family member, listed codewords, the weight below which they are
+    every codeword, minimum-weight words) of one code, after checking that
+    it is doubly even, self-dual and extremal."""
     f, rows = CODES[request.param]
-    words = codewords(rows)
-    assert len(words) == 2 ** (f.n // 2)
+    basis = systematic(rows, range(f.n))
+    # n/2 doubly even rows that meet evenly span a doubly even self-dual code.
+    assert len(basis) == f.n // 2
+    assert all(a.bit_count() % 4 == 0 and (a & b).bit_count() % 2 == 0
+               for a in basis.values() for b in basis.values())
+    # A word is the sum of the basis rows at its ones on the pivots.
+    most = ONES_ON_A_SIDE.get(request.param, f.n // 2)
+    complement = systematic(rows, [c for c in range(f.n) if c not in basis])
+    assert len(complement) == f.n // 2
+    words = sorted({w for side in (basis, complement)
+                    for w in sums_of_at_most(list(side.values()), most)})
     assert all(w < 1 << f.n and w.bit_count() % 4 == 0 for w in words)
-    assert min(w.bit_count() for w in words if w) == f.k
-    return f, words, [w for w in words if w.bit_count() == f.k]
+    complete = min(2 * most + 2, f.n + 1)
+    if complete > f.n:
+        assert len(words) == 2 ** (f.n // 2)
+    assert min(w.bit_count() for w in words if w) == f.k < complete
+    return f, words, complete, [w for w in words if w.bit_count() == f.k]
 
 
 def meeting_counts(ref: int, blocks: list[int]) -> dict[int, int]:
@@ -86,20 +123,20 @@ def meeting_counts(ref: int, blocks: list[int]) -> dict[int, int]:
 def test_weight_distribution_is_the_extremal_enumerator(code):
     # m = 0 and m = 1: at n = 8 the recurrence's seeds are the whole half,
     # at n = 16 and 32 its order-4 loop starts at a negative index.
-    f, words, _ = code
+    f, words, complete, _ = code
     distribution = [0] * (f.n + 1)
     for w in words:
         distribution[w.bit_count()] += 1
-    assert tuple(distribution) == extremal_weight_enumerator(f.n).coefficients
+    assert distribution[:complete] == list(extremal_weight_enumerator(f.n).coefficients[:complete])
 
 
 def test_block_count_is_the_minimum_weight_count(code):
-    f, _, blocks = code
+    f, _, _, blocks = code
     assert block_count(f) == len(blocks)
 
 
 def test_lambda_levels_count_blocks_through_i_sets(code):
-    f, _, blocks = code
+    f, _, _, blocks = code
     s = f.am_strength
     for i, lam in zip(range(s + 1), lambda_levels(f, range(s + 1))):
         for points in islice(combinations(range(f.n), i), 40):
@@ -108,7 +145,7 @@ def test_lambda_levels_count_blocks_through_i_sets(code):
 
 
 def test_intersection_numbers_of_a_block(code):
-    f, _, blocks = code
+    f, _, _, blocks = code
     counts = meeting_counts(blocks[0], blocks)
     assert counts.pop(f.k) == 1
     free = list(range(0, f.k, 2))
@@ -120,7 +157,7 @@ def test_intersection_numbers_of_a_block(code):
 
 
 def test_offset_quotients_match_direct_counts_at_every_weight(code):
-    f, words, blocks = code
+    f, words, _, blocks = code
     s = f.am_strength
     lambdas = lambda_levels(f, range(s + 1))
     refs = {}
@@ -131,6 +168,8 @@ def test_offset_quotients_match_direct_counts_at_every_weight(code):
     for u, ref in sorted(refs.items()):
         counts = meeting_counts(ref, blocks)
         assert all(i % 2 == 0 for i in counts), (f, u)
+        moments = [sum(perm(i, t) * n_i for i, n_i in counts.items()) for t in range(s + 1)]
+        assert moments == [perm(u, t) * lam for t, lam in enumerate(lambdas)], (f, u)
         for l in range(1, s + 1):
             F = offset_product_sum(OffsetSet.default(l), moment_vector(u, lambdas[:l + 1]))
             direct = sum(comb(i // 2, l) * n_i for i, n_i in counts.items())

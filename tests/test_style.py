@@ -25,3 +25,15 @@ def test_no_assert_statement_in_the_package_or_scripts():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cross_module_private_imports_are_the_known_ones():
+    # A helper private to its module that another module imports couples the
+    # two; a new coupling shows up as an edit to this set.
+    found = {(path.stem, node.module, alias.name)
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.level and node.module
+             for alias in node.names if alias.name.startswith("_")}
+    assert found == {("gleason", "families", name) for name in (
+        "_burmann_coefficient", "_exact_div", "_extremal_counts", "_phi_power_prefix")}
