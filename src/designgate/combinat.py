@@ -1,7 +1,7 @@
 """Exact combinatorial primitives: binomials, falling factorials, Stirling
-numbers of the second kind, elementary symmetric polynomials, and the
+numbers of the second kind, elementary symmetric polynomials, the
 falling-factorial coefficients of offset products, built one factor at a
-time.  Nothing here is memoised.
+time, and exact division.  Nothing here is memoised.
 
 All arithmetic in this package is exact.  Integers are plain Python ``int``
 (arbitrary precision); rationals are ``fractions.Fraction``, which is always
@@ -63,11 +63,8 @@ def stirling2_by_formula(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("stirling2_by_formula needs n, k >= 0")
-    total = sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
-    q, r = divmod(total, math.factorial(k))
-    if r:
-        raise ArithmeticError(f"alternating sum not divisible by {k}! for ({n},{k})")
-    return q
+    return exact_div(sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1)),
+                     math.factorial(k))
 
 
 def elem_sym(xs: list[int]) -> list[int]:
@@ -105,6 +102,14 @@ def annihilator_divisor(l: int) -> int:
     if l < 1:
         raise ValueError("need l >= 1")
     return math.prod(range(2, 2 * l + 1, 2))
+
+
+def exact_div(num: int, den: int) -> int:
+    """num / den, where den must divide num; ArithmeticError otherwise."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"inexact division {num} / {den}")
+    return q
 
 
 def exact_quotient(num: int, den: int) -> int | Fraction:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import mul
 
 from ._record import Record
-from .combinat import annihilator_divisor, binom, exact_quotient, offset_coefficients
+from .combinat import annihilator_divisor, binom, exact_div, exact_quotient, offset_coefficients
 
 AM_STRENGTHS = (5, 3, 1)
 M_MAXES = (153, 158, 163)
@@ -105,20 +105,13 @@ class DesignParams(Record):
             raise ValueError("lambda_t must be nonnegative")
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"inexact division {num} / {den}")
-    return q
-
-
 def _phi_power_prefix(e: int, terms: int) -> list[int]:
     """The first ``terms`` coefficients of PHI^e, PHI = 1 + 14z + z^2, for
     any integer e, from the recurrence PHI * P' = e * PHI' * P."""
     p = [1] + [0] * (terms - 1)
     for k in range(1, terms):
         prev = p[k - 2] if k > 1 else 0
-        p[k] = _exact_div(14 * (e - k + 1) * p[k - 1] + (2 * e - k + 2) * prev, k)
+        p[k] = exact_div(14 * (e - k + 1) * p[k - 1] + (2 * e - k + 2) * prev, k)
     return p
 
 
@@ -141,8 +134,8 @@ def _burmann_coefficient(a: int, j: int) -> int:
     total = 0
     for d in range(min(2 * e + 1, bottom) + 1):
         total += (14 * p[d] + 2 * p[d - 1]) * c
-        c = _exact_div(c * (bottom - d), top - d)
-    return _exact_div(-a * total, j)
+        c = exact_div(c * (bottom - d), top - d)
+    return exact_div(-a * total, j)
 
 
 def _extremal_counts(a: int, m: int) -> tuple[int, int]:
@@ -169,10 +162,10 @@ class Member(Record):
     __slots__ = ("family", "b", "next_count", "levels", "gates")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def member(r: int, m: int) -> Member:
-    """The :class:`Member` of family r at m, built once per process; the
-    levels come from divmod, so no Fraction is built."""
+    """The :class:`Member` of family r at m, built once per process and keyed
+    by argument type too; the levels come from divmod, so no Fraction is built."""
     f = CodeFamily(m, r)
     b, next_count = _extremal_counts(f.n // 8, m)
     if b <= 0:
@@ -197,9 +190,9 @@ def block_count(f: CodeFamily) -> int:
 
 def lambda_levels(f: CodeFamily, levels) -> list[int | Fraction]:
     """[lambda_i for i in levels] of the minimum-weight support design, with
-    lambda_i = b * C(k, i) / C(v, i): read off the member record inside its
-    integral run, else an int where the division is exact and a Fraction
-    where it is not (the normalising gcd is paid only there).
+    lambda_i = b * C(k, i) / C(v, i) and b read off the member record: an
+    int where the division is exact and a Fraction where it is not (the
+    normalising gcd is paid only there).
 
     Every level is checked to lie in [0, k] before any arithmetic; the
     first one outside raises ValueError.
@@ -209,10 +202,8 @@ def lambda_levels(f: CodeFamily, levels) -> list[int | Fraction]:
     for i in levels:
         if not 0 <= i <= k:
             raise ValueError(f"level {i} outside [0, {k}]")
-    rec = member(f.r, f.m)
-    known = rec.levels
-    return [known[i] if i < len(known) else exact_quotient(rec.b * binom(k, i), binom(n, i))
-            for i in levels]
+    b = member(f.r, f.m).b
+    return [exact_quotient(b * binom(k, i), binom(n, i)) for i in levels]
 
 
 def lambda_at(f: CodeFamily, i: int) -> int | Fraction:

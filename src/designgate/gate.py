@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .combinat import annihilator_divisor, binom, exact_quotient, falling, offset_coefficients
+from .combinat import annihilator_divisor, exact_div, exact_quotient, falling, offset_coefficients
 from .families import (
     AM_STRENGTHS,
     CodeFamily,
@@ -75,9 +75,6 @@ class OffsetSet(Record):
         if list(self.xs) != sorted(set(self.xs)):
             raise ValueError("offsets must be strictly increasing")
 
-    def __len__(self) -> int:
-        return len(self.xs)
-
     @staticmethod
     def default(l: int) -> "OffsetSet":
         """The annihilating offsets 0, 2, ..., 2(l-1)."""
@@ -94,9 +91,6 @@ class MomentVector(Record):
 
     def __init__(self, u: int, entries: tuple[int, ...]):
         super().__init__(u, entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def moment_vector(u: int, lambdas: list[int | Fraction]) -> MomentVector:
@@ -125,26 +119,21 @@ def offset_moment_coefficients(offsets: OffsetSet) -> list[int]:
 def offset_product_sum(offsets: OffsetSet, moments: MomentVector) -> int:
     """F = sum_i (i - x_1)...(i - x_l) n_i, evaluated from the moments."""
     cs = offset_coefficients(offsets.xs)
-    if len(moments) < len(cs):
-        raise ValueError(f"need at least {len(cs)} moments, got {len(moments)}")
+    if len(moments.entries) < len(cs):
+        raise ValueError(f"need at least {len(cs)} moments, got {len(moments.entries)}")
     return sum(c * a for c, a in zip(cs, moments.entries))
 
 
 def residual_coefficient(i: int, l: int) -> int:
     """prod_j (i - x_j) / annihilator_divisor(l) for the default offsets and
-    even i >= 2l: the multiplier of n_i in the isolated-level equation.
-    Equals C(i/2, l); the division is checked to be exact."""
+    even i >= 2l: the multiplier of n_i in the isolated-level equation,
+    C(i/2, l) (the tests pin that equality); the division is exact."""
     if i % 2 or i < 2 * l:
         raise ValueError(f"need even i >= {2 * l}, got {i}")
     prod = 1
     for x in range(0, 2 * l, 2):
         prod *= i - x
-    q, r = divmod(prod, annihilator_divisor(l))
-    if r:
-        raise ArithmeticError(f"inexact residual division for i={i}, l={l}")
-    if q != binom(i // 2, l):
-        raise ArithmeticError(f"residual coefficient {q} != C({i // 2}, {l})")
-    return q
+    return exact_div(prod, annihilator_divisor(l))
 
 
 class GateResult(Record):

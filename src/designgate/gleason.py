@@ -40,7 +40,8 @@ A_{k+4} at any length from the same coefficients.
 from __future__ import annotations
 
 from ._record import Record
-from .families import M_MAXES, _burmann_coefficient, _exact_div, _extremal_counts, _phi_power_prefix
+from .combinat import exact_div
+from .families import M_MAXES, _burmann_coefficient, _extremal_counts, _phi_power_prefix
 
 # Largest family length the scans ever request: family 24m+16 at its m_max.
 LENGTH_CAP = 24 * M_MAXES[2] + 16
@@ -105,8 +106,8 @@ def _recurrence_prefix(n: int) -> list[int]:
         for s, q in enumerate(qs, 1):
             p = (x + s) * (i + s) * _horner(q, i) * (i + x + 2 * s if 2 * s == R else 1)
             acc += p * w[R + i + s]
-        w.append(_exact_div(-acc, (j - N) * (j - m - 1) * (j - 1) * j
-                            * (2 * j - 1) * (4 * j - 3) * (4 * j - 1)))
+        w.append(exact_div(-acc, (j - N) * (j - m - 1) * (j - 1) * j
+                           * (2 * j - 1) * (4 * j - 3) * (4 * j - 1)))
     if a > 1 and w[R + a + 1] != w[R + a - 1]:
         raise ArithmeticError(f"extremal enumerator of length {n} is not palindromic at its centre")
     return w[R:R + a + 1]

@@ -27,6 +27,7 @@ list of views over those records, ``DRIVERS``.
 from __future__ import annotations
 
 from . import reference_sets as ref
+from ._record import Record
 from .families import FAMILY_LABELS, M_MAXES, THEOREM_IDS, member
 from .gate import integrality_gate
 from .report import Report, gate_row, set_row, timestamp_now
@@ -71,12 +72,10 @@ DRIVERS = {
 }
 
 
-class TheoremOutcome:
+class TheoremOutcome(Record):
     """A driver's report and its reference mismatches (none on a match)."""
 
-    def __init__(self, report: Report, mismatches: list[str]):
-        self.report = report
-        self.mismatches = mismatches
+    __slots__ = ("report", "mismatches")
 
 
 def _run_ladder(r: int, rungs) -> tuple[dict, list[tuple]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from designgate.families import _exact_div
+from designgate.combinat import exact_div
 from designgate.gleason import _phi_power, _validate_length
 
 
@@ -101,7 +101,7 @@ def basis_tail(a: int, j: int, terms: int) -> list[int]:
             acc += (r1 + 13 * (k - 2)) * q[k - 2]
         if k > 2:
             acc += (r2 + k - 3) * q[k - 3]
-        q[k] = _exact_div(acc, k)
+        q[k] = exact_div(acc, k)
     return q
 
 

@@ -168,6 +168,16 @@ def test_inexact_or_unknown_inputs_are_refused_where_they_enter(call, error, tex
     assert str(exc.value) == text
 
 
+def test_member_refuses_an_inexact_m_after_the_exact_one_was_built():
+    # 8.0 == 8 and Fraction(8) == 8 hash alike, so an untyped memo would
+    # hand back the m = 8 record and make the refusal depend on call history.
+    assert member(0, 8).family == CodeFamily(8, 0)
+    for m in (8.0, Fraction(8)):
+        with pytest.raises(TypeError) as exc:
+            member(0, m)
+        assert str(exc.value) == f"m = {m!r}: an exact int is required"
+
+
 def test_apply_strengthening():
     f0 = CodeFamily(8, 0)
     assert apply_strengthening(f0, 6) == 7

@@ -100,7 +100,7 @@ def test_offset_sum_matches_brute_force(data):
     dist = dict(enumerate(counts))
     moments = MomentVector(
         0, tuple(sum(falling(i, s) * n for i, n in dist.items())
-                 for s in range(len(offsets) + 1))
+                 for s in range(len(offsets.xs) + 1))
     )
     direct = 0
     for i, n in dist.items():

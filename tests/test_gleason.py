@@ -10,7 +10,13 @@ import pytest
 
 from designgate import families, gleason
 from designgate.combinat import binom
-from designgate.families import M_MAXES, CodeFamily, _burmann_coefficient, block_count
+from designgate.families import (
+    M_MAXES,
+    CodeFamily,
+    _burmann_coefficient,
+    _extremal_counts,
+    block_count,
+)
 from designgate.gleason import (
     LENGTH_CAP,
     _recurrence_prefix,
@@ -272,10 +278,11 @@ def test_next_weight_count_positive_in_range():
 
 def test_next_weight_count_nonpositive_past_m_max():
     # Zhang's nonexistence bound, where M_MAXES comes from: one step past
-    # the top m of families 24m and 24m+8 the next coefficient is no longer
-    # positive (24m+16 at m = 164 lies beyond LENGTH_CAP).
+    # the top m of each family the next coefficient is no longer positive
+    # (24m+16 at m = 164, length 3952 = 8 * 494, lies beyond LENGTH_CAP).
     assert next_weight_count(24 * 154) <= 0
     assert next_weight_count(24 * 159 + 8) <= 0
+    assert _extremal_counts(494, 164)[1] <= 0
 
 
 def test_length_validation():

@@ -14,6 +14,7 @@ import pytest
 import designgate
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 # The public names, each imported from the module that defines it.
 PUBLIC_NAMES = {
     "combinat": {"annihilator_divisor", "binom", "elem_sym", "falling", "stirling2",
@@ -174,6 +175,16 @@ def test_public_names_and_version():
         assert all(hasattr(owner, name) for name in names), module
     assert sum(map(len, PUBLIC_NAMES.values())) == 36
     assert designgate.__version__ == "0.1.0"
+
+
+def test_every_name_the_benchmark_traces_is_defined(tmp_path):
+    # perfbench/traced.py wraps the program's functions by name, and a name
+    # it cannot find leaves its per-layer metrics reading 0; only a change
+    # to the benchmark itself may rename or remove one.
+    out, _ = run_fresh(f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport traced\n"
+                       "tr = traced.Tracer()\ntraced.install(tr)\nprint(sorted(tr.missing))",
+                       tmp_path)
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "HomogeneousPoly", "gleason_basis"])
