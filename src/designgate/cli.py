@@ -8,11 +8,9 @@ A plain argv (a subcommand, then exact flags, each value its own token) is
 read from it without importing argparse; any other goes to an argparse
 parser built from it, which gives the help and every error.
 tests/cli_oracle.py holds both paths to an argparse parser written out by
-hand.  Each handler imports the modules only it needs when it runs, so that
-a cold start loads no more than its subcommand uses.
+hand.  Each handler imports report, gate, store, theorems or gleason when it
+runs, as it needs them, so that a cold start loads what its subcommand uses.
 """
-
-from __future__ import annotations
 
 import errno
 import os
@@ -21,6 +19,7 @@ from types import SimpleNamespace
 
 from .families import (
     FAMILY_LABELS,
+    FORMATS,
     THEOREM_IDS,
     NonIntegralLambdaError,
     apply_strengthening,
@@ -30,7 +29,6 @@ from .families import (
     scan_members,
     scan_range,
 )
-from .report import FORMATS, Report, gate_row, lambda_row, render, set_row, timestamp_now
 
 _FAMILY_INDEX = {label: r for r, label in enumerate(FAMILY_LABELS)}
 _JOBS_HELP = "accepted for compatibility and ignored: the work runs serially"
@@ -62,6 +60,8 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .report import Report, lambda_row, render, set_row, timestamp_now
+
     _check_jobs(args)
     r = _FAMILY_INDEX[args.family]
     m_range = scan_range(r, args.m_min, args.m_max)
@@ -86,6 +86,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_gate(args) -> int:
     from .gate import integrality_gate
+    from .report import Report, gate_row, lambda_row, render, set_row, timestamp_now
     from .store import ResultStore
 
     f = member(_FAMILY_INDEX[args.family], args.m).family
@@ -116,6 +117,7 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
+    from .report import render
     from .theorems import run_theorem
 
     _check_jobs(args)

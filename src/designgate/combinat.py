@@ -10,8 +10,6 @@ is simply ``value.denominator == 1``, as it is for an ``int``; ``fractions``
 is loaded only once a value is non-integral.  Floating point is never used.
 """
 
-from __future__ import annotations
-
 import math
 
 
@@ -112,7 +110,7 @@ def exact_div(num: int, den: int) -> int:
     return q
 
 
-def exact_quotient(num: int, den: int) -> int | Fraction:
+def exact_quotient(num: int, den: int) -> "int | Fraction":
     """num / den: an int when den divides num, else a Fraction."""
     q, rem = divmod(num, den)
     if not rem:
@@ -121,7 +119,7 @@ def exact_quotient(num: int, den: int) -> int | Fraction:
     return Fraction(num, den)
 
 
-def as_fraction(x) -> Fraction:
+def as_fraction(x) -> "Fraction":
     """Coerce an exact number to Fraction (rejects floats)."""
     if isinstance(x, float):
         raise TypeError("floating point is not allowed in exact computations")

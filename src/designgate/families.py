@@ -14,39 +14,87 @@ a hypothesis "this design is a t-design" forces lambda_i to be a nonnegative
 integer for every i <= t, which is what :func:`admissible_scan` checks.
 Every layer reads b, A_{k+4}, the levels and the gate polynomials of a
 member from one record, :func:`member`, built once per process.
-"""
 
-from __future__ import annotations
+It also holds what the other modules share without loading more:
+:class:`Record`, the base of the frozen value types, and the CLI's choices
+``THEOREM_IDS`` and ``FORMATS``.
+"""
 
 from functools import lru_cache
 from operator import mul
 
-from ._record import Record
 from .combinat import annihilator_divisor, binom, exact_div, exact_quotient, offset_coefficients
 
 AM_STRENGTHS = (5, 3, 1)
 M_MAXES = (153, 158, 163)
 FAMILY_LABELS = ("24m", "24m+8", "24m+16")
-# The drivers of :mod:`designgate.theorems`; spelled here so that the CLI can
-# offer them as choices without importing the drivers.
+# The drivers of :mod:`designgate.theorems` and the renderings of :mod:`designgate.report`,
+# spelled here so that the CLI can offer them as choices without importing either.
 THEOREM_IDS = ("lemma1", "thm1", "thm2", "thm3", "thm4", "thm5.1", "thm5.2")
+FORMATS = ("table", "csv", "json")
+
+
+class Record:
+    """Base of the package's frozen value types, built from ``__slots__``
+    alone: the record decorator of the standard library imports
+    :mod:`inspect`, about half a cold start.  A subclass names its fields,
+    in constructor order, in ``__slots__`` and passes their values to
+    ``Record.__init__``; equality, hashing and repr go by the field tuple,
+    and assigning or deleting a field afterwards raises AttributeError.
+    ``_setters`` holds each slot descriptor's ``__set__``, in field order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} fields, got {len(values)}")
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class NonIntegralLambdaError(ValueError):
     """A design hypothesis already fails at the lambda level."""
 
-    def __init__(self, family: "CodeFamily", levels: list[tuple[int, Fraction]]):
+    def __init__(self, family: "CodeFamily", levels: "list[tuple[int, Fraction]]"):
         self.family = family
         self.levels = levels
         detail = ", ".join(f"lambda_{i} = {v}" for i, v in levels)
         super().__init__(f"non-integral block counts for {family}: {detail}")
 
 
-def _require_ints(record: Record, *fields: str) -> None:
-    """TypeError naming the first of ``fields`` whose value is not an int."""
-    for name in fields:
-        if not isinstance(getattr(record, name), int):
-            raise TypeError(f"{name} = {getattr(record, name)!r}: an exact int is required")
+def require_ints(**values) -> None:
+    """TypeError naming the first of ``values`` that is not an int."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise TypeError(f"{name} = {value!r}: an exact int is required")
 
 
 class CodeFamily(Record):
@@ -58,7 +106,7 @@ class CodeFamily(Record):
 
     def __init__(self, m: int, r: int):
         super().__init__(m, r)
-        _require_ints(self, "m", "r")
+        require_ints(m=self.m, r=self.r)
         if self.r not in (0, 1, 2):
             raise ValueError(f"family index must be 0, 1 or 2, got {self.r}")
         lo = 1 if self.r == 0 else 0
@@ -94,9 +142,9 @@ class DesignParams(Record):
 
     __slots__ = ("v", "k", "t", "lambda_t")
 
-    def __init__(self, v: int, k: int, t: int, lambda_t: int | Fraction):
+    def __init__(self, v: int, k: int, t: int, lambda_t: "int | Fraction"):
         super().__init__(v, k, t, lambda_t)
-        _require_ints(self, "v", "k", "t")
+        require_ints(v=self.v, k=self.k, t=self.t)
         if isinstance(lambda_t, float):
             raise TypeError(f"lambda_t = {lambda_t!r}: floating point is not allowed")
         if not 0 <= self.t <= self.k <= self.v:
@@ -188,7 +236,7 @@ def block_count(f: CodeFamily) -> int:
     return member(f.r, f.m).b
 
 
-def lambda_levels(f: CodeFamily, levels) -> list[int | Fraction]:
+def lambda_levels(f: CodeFamily, levels) -> "list[int | Fraction]":
     """[lambda_i for i in levels] of the minimum-weight support design, with
     lambda_i = b * C(k, i) / C(v, i) and b read off the member record: an
     int where the division is exact and a Fraction where it is not (the
@@ -206,12 +254,12 @@ def lambda_levels(f: CodeFamily, levels) -> list[int | Fraction]:
     return [exact_quotient(b * binom(k, i), binom(n, i)) for i in levels]
 
 
-def lambda_at(f: CodeFamily, i: int) -> int | Fraction:
+def lambda_at(f: CodeFamily, i: int) -> "int | Fraction":
     """lambda_i = b * C(k, i) / C(v, i) of the minimum-weight support design."""
     return lambda_levels(f, (i,))[0]
 
 
-def lambda_vector(d: DesignParams) -> list[Fraction]:
+def lambda_vector(d: DesignParams) -> "list[Fraction]":
     """[lambda_0, ..., lambda_t] of a t-(v, k, lambda_t) design, via
     lambda_i = lambda_t * C(v-i, t-i) / C(k-i, t-i)."""
     from fractions import Fraction
@@ -241,13 +289,13 @@ def apply_strengthening(f: CodeFamily, t: int) -> int:
     return t + 1 if t == f.am_strength + 1 else t
 
 
-def nonintegral_levels(values) -> list[tuple[int, Fraction]]:
+def nonintegral_levels(values) -> "list[tuple[int, Fraction]]":
     """The (level, lambda) pairs among ``values`` whose lambda is not a
     nonnegative integer (empty list means all pass)."""
     return [(i, v) for i, v in values if v.denominator != 1 or v < 0]
 
 
-def check_lambda_levels(f: CodeFamily, levels) -> list[tuple[int, Fraction]]:
+def check_lambda_levels(f: CodeFamily, levels) -> "list[tuple[int, Fraction]]":
     """Return the (level, value) pairs among ``levels`` whose lambda is not a
     nonnegative integer (empty list means all pass)."""
     levels = list(levels)

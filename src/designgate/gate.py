@@ -32,21 +32,20 @@ the steps (d_{t-1}, t-1), ..., (d_0, 0), and a cell starts from F = d_t and
 runs F = d + (u - h) * F over them.  The moment route is its test oracle.
 """
 
-from __future__ import annotations
-
 import math
 
-from ._record import Record
 from .combinat import annihilator_divisor, exact_div, exact_quotient, falling, offset_coefficients
 from .families import (
     AM_STRENGTHS,
     CodeFamily,
     DesignParams,
     NonIntegralLambdaError,
+    Record,
     check_lambda_levels,
     lambda_vector,
     member,
     nonintegral_levels,
+    require_ints,
 )
 
 PASS = "PASS"
@@ -56,7 +55,7 @@ FAIL_NONINTEGER = "FAIL_NONINTEGER"
 class NonIntegralMomentError(ValueError):
     """A moment (u)_s * lambda_s came out non-integral."""
 
-    def __init__(self, levels: list[tuple[int, Fraction]]):
+    def __init__(self, levels: "list[tuple[int, Fraction]]"):
         self.levels = levels
         detail = ", ".join(f"s={s}: {v}" for s, v in levels)
         super().__init__(f"non-integral moments: {detail}")
@@ -93,13 +92,14 @@ class MomentVector(Record):
         super().__init__(u, entries)
 
 
-def moment_vector(u: int, lambdas: list[int | Fraction]) -> MomentVector:
+def moment_vector(u: int, lambdas: "list[int | Fraction]") -> MomentVector:
     """Moments A_s = (u)_s * lambda_s for 0 <= s < len(lambdas), from
     integer or Fraction lambdas.
 
     Raises NonIntegralMomentError naming every offending s if any product is
     not a nonnegative integer (the design hypothesis is then already broken).
     """
+    require_ints(u=u)
     vals = []
     u_s = 1  # (u)_s
     for s, lam in enumerate(lambdas):
@@ -130,10 +130,7 @@ def residual_coefficient(i: int, l: int) -> int:
     C(i/2, l) (the tests pin that equality); the division is exact."""
     if i % 2 or i < 2 * l:
         raise ValueError(f"need even i >= {2 * l}, got {i}")
-    prod = 1
-    for x in range(0, 2 * l, 2):
-        prod *= i - x
-    return exact_div(prod, annihilator_divisor(l))
+    return exact_div(math.prod(i - x for x in range(0, 2 * l, 2)), annihilator_divisor(l))
 
 
 class GateResult(Record):
@@ -142,7 +139,7 @@ class GateResult(Record):
 
     __slots__ = ("family", "m", "t", "u", "F", "quotient")
 
-    def __init__(self, family: int, m: int, t: int, u: int, F: int, quotient: int | Fraction):
+    def __init__(self, family: int, m: int, t: int, u: int, F: int, quotient: "int | Fraction"):
         # One frame per gate cell: the slot setters, without Record.__init__.
         set_family, set_m, set_t, set_u, set_F, set_quotient = self._setters
         set_family(self, family)
@@ -177,6 +174,8 @@ def integrality_gate(f: CodeFamily, t: int, u: int | None = None) -> GateResult:
     k, n = 4 * m + 4, 24 * m + 8 * r
     if u is None:
         u = k
+    if not (isinstance(t, int) and isinstance(u, int)):  # a call costs a seventh of a cell
+        require_ints(t=t, u=u)
     if t < AM_STRENGTHS[r]:
         raise ValueError(f"t = {t} below base strength {AM_STRENGTHS[r]}")
     if u % 4 or not k <= u <= n - k:
@@ -199,7 +198,7 @@ class IntersectionSolution(Record):
 
     __slots__ = ("entries", "negative_levels", "nonintegral_levels")
 
-    def __init__(self, entries: tuple[tuple[int, Fraction], ...],
+    def __init__(self, entries: "tuple[tuple[int, Fraction], ...]",
                  negative_levels: tuple[int, ...], nonintegral_levels: tuple[int, ...]):
         super().__init__(entries, negative_levels, nonintegral_levels)
 
@@ -220,6 +219,7 @@ def solve_intersection_numbers(
     each of them, so with c = offset_coefficients(others),
     n_i = sum_h c_h A_h / prod_j (i - j), an exact Fraction.
     """
+    require_ints(u=u)
     if len(set(free_levels)) != len(free_levels):
         raise ValueError("free levels must be distinct")
     if fixed:

@@ -37,11 +37,15 @@ from the Lagrange-Buermann coefficients c_j of one expansion;
 A_{k+4} at any length from the same coefficients.
 """
 
-from __future__ import annotations
-
-from ._record import Record
 from .combinat import exact_div
-from .families import M_MAXES, _burmann_coefficient, _extremal_counts, _phi_power_prefix
+from .families import (
+    M_MAXES,
+    Record,
+    _burmann_coefficient,
+    _extremal_counts,
+    _phi_power_prefix,
+    require_ints,
+)
 
 # Largest family length the scans ever request: family 24m+16 at its m_max.
 LENGTH_CAP = 24 * M_MAXES[2] + 16
@@ -53,6 +57,7 @@ def _phi_power(a: int, trunc: int) -> list[int]:
 
 
 def _validate_length(n: int) -> None:
+    require_ints(n=n)
     if n % 8 != 0 or n < 8:
         raise ValueError(f"length must be a positive multiple of 8, got {n}")
     if n > LENGTH_CAP:

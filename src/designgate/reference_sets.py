@@ -20,8 +20,6 @@ discrepancies"):
   l <= t) passes for it.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 # Family 24m: m with lambda_6 and lambda_7 both nonnegative integers (strength-6

@@ -10,9 +10,7 @@ modules are imported by the function that uses them, so that a command that
 renders a table does not load them.
 """
 
-from __future__ import annotations
-
-FORMATS = ("table", "csv", "json")
+from .families import FORMATS
 
 _CSV_FIELDS = (
     "row", "stage", "label", "family", "m", "t", "u", "level",

@@ -12,8 +12,6 @@ the library never opens the store.
 The directory comes from DESIGNGATE_STORE, defaulting to ./designgate_store.
 """
 
-from __future__ import annotations
-
 import json
 import os
 from pathlib import Path

@@ -24,11 +24,8 @@ of a family's ladder gives each m a terminal record, and each driver is a
 list of views over those records, ``DRIVERS``.
 """
 
-from __future__ import annotations
-
 from . import reference_sets as ref
-from ._record import Record
-from .families import FAMILY_LABELS, M_MAXES, THEOREM_IDS, member
+from .families import FAMILY_LABELS, M_MAXES, THEOREM_IDS, Record, member
 from .gate import integrality_gate
 from .report import Report, gate_row, set_row, timestamp_now
 

@@ -283,6 +283,32 @@ def test_gate_input_validation():
             integrality_gate(f, t, top + 4)
 
 
+@pytest.mark.parametrize("call,text", [
+    # A float u used to give GateResult(F=23040.0, quotient=6.0), whose
+    # verdict then raised AttributeError; at large m, Fraction's TypeError.
+    (lambda: integrality_gate(CodeFamily(2, 0), 5, 12.0), "u = 12.0: an exact int is required"),
+    (lambda: integrality_gate(CodeFamily(150, 0), 7, 604.0),
+     "u = 604.0: an exact int is required"),
+    (lambda: integrality_gate(CodeFamily(2, 0), 5.0, 12), "t = 5.0: an exact int is required"),
+    (lambda: integrality_gate(CodeFamily(2, 0), Fraction(5)),
+     "t = Fraction(5, 1): an exact int is required"),
+    (lambda: moment_vector(8.0, [759, 253]), "u = 8.0: an exact int is required"),
+    (lambda: solve_intersection_numbers(design_params(CodeFamily(1, 0), 5), 8.0, [0, 2, 4, 6],
+                                        {8: 1}), "u = 8.0: an exact int is required"),
+], ids=["gate-u", "gate-u-large-m", "gate-t", "gate-fraction-t", "moments-u", "solve-u"])
+def test_inexact_u_or_t_is_refused_before_any_arithmetic(call, text):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == text
+
+
+def test_bool_u_and_t_stay_accepted():
+    # isinstance(True, int) holds, so a bool passes the exactness check.
+    f = CodeFamily(1, 2)  # base strength 1
+    assert integrality_gate(f, True) == integrality_gate(f, 1)
+    assert moment_vector(True, [1, 1]).entries == (1, 1)
+
+
 def test_solve_golay_intersections():
     d = design_params(CodeFamily(1, 0), 5)  # the 5-(24, 8, 1) design
     sol = solve_intersection_numbers(d, 8, [0, 2, 4, 6], fixed={8: 1})

@@ -285,6 +285,16 @@ def test_next_weight_count_nonpositive_past_m_max():
     assert _extremal_counts(494, 164)[1] <= 0
 
 
+@pytest.mark.parametrize("fn", [extremal_weight_enumerator, min_weight_count,
+                                next_weight_count])
+def test_inexact_length_is_refused_by_name(fn):
+    # A float n used to fail on a tuple index or a list repetition, with a
+    # message that named neither n nor the cause.
+    with pytest.raises(TypeError) as exc:
+        fn(48.0)
+    assert str(exc.value) == "n = 48.0: an exact int is required"
+
+
 def test_length_validation():
     with pytest.raises(ValueError):
         min_weight_count(12)

@@ -11,8 +11,7 @@ from fractions import Fraction
 import pytest
 
 import designgate
-from designgate._record import Record
-from designgate.families import CodeFamily, DesignParams
+from designgate.families import CodeFamily, DesignParams, Record
 from designgate.gate import (
     GateResult,
     IntersectionSolution,

@@ -37,3 +37,15 @@ def test_cross_module_private_imports_are_the_known_ones():
              for alias in node.names if alias.name.startswith("_")}
     assert found == {("gleason", "families", name) for name in (
         "_burmann_coefficient", "_extremal_counts", "_phi_power_prefix")}
+
+
+def test_no_package_module_imports_future():
+    # Annotations evaluate at definition time on every supported Python, so
+    # the line buys nothing, and ``__future__`` is one more module a cold
+    # start reads; an annotation naming a module-local import is a string.
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+             or isinstance(node, ast.Import) and any(a.name == "__future__" for a in node.names)]
+    assert found == []
