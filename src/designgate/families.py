@@ -12,8 +12,10 @@ The support design of the minimum weight has the code length as point count,
 level-i block counts lambda_i = b * C(k, i) / C(v, i) are exact rationals;
 a hypothesis "this design is a t-design" forces lambda_i to be a nonnegative
 integer for every i <= t, which is what :func:`admissible_scan` checks.
-Every layer reads b, A_{k+4}, the levels and the gate polynomials of a
-member from one record, :func:`member`, built once per process.
+Every layer reads b, the levels and the gate polynomials of a member from
+one record, :func:`member`, built once per process; the ladder asks
+:func:`designgate.gleason.next_weight_count` for A_{k+4} where it gates at
+weight k + 4.
 
 It also holds what the other modules share without loading more:
 :class:`Record`, the base of the frozen value types, and the CLI's choices
@@ -186,28 +188,20 @@ def _burmann_coefficient(a: int, j: int) -> int:
     return exact_div(-a * total, j)
 
 
-def _extremal_counts(a: int, m: int) -> tuple[int, int]:
-    """(A_k, A_{k+4}) of the extremal enumerator of length 8a, k = 4m + 4,
-    m = floor(a/3).  The enumerator over x^n is 1 - sum_{j>m} c_j
-    PHI^(a-3j) PSI^j, c_j = [g^j] PHI^(-a), so its coefficients at z^(m+1)
-    and z^(m+2) involve c_{m+1} and c_{m+2} alone (at most 12 terms each):
-    A_k = -c_{m+1} and A_{k+4} = -c_{m+2} - c_{m+1} (14a - 46(m+1))."""
-    c1 = _burmann_coefficient(a, m + 1)
-    return -c1, -_burmann_coefficient(a, m + 2) - c1 * (14 * a - 46 * (m + 1))
-
-
 class Member(Record):
     """One family member as every layer reads it: its CodeFamily, b = A_k,
-    A_{k+4}, the leading run lambda_0..lambda_j of levels that are counts
-    (it ends by j = 8 < k at every member), and, for s <= t <= j, s the base
-    strength (None for t < s), the default-offset gate polynomial F(u) =
-    sum_h d_h (u)_h, d_h = c_h lambda_h, of strength t as its Horner steps:
+    the leading run lambda_0..lambda_j of levels that are counts (it ends by
+    j = 8 < k at every member), and, for s <= t <= j, s the base strength
+    (None for t < s), the default-offset gate polynomial F(u) = sum_h d_h
+    (u)_h, d_h = c_h lambda_h, of strength t as its Horner steps:
 
         gates[t] = (d_t, ((d_{t-1}, t-1), ..., (d_0, 0)), 2^t t!),
 
-    so that F = d_t, then F = d + (u - h) * F for each step (d, h)."""
+    so that F = d_t, then F = d + (u - h) * F for each step (d, h).  A_{k+4}
+    is not here: only the ladder's u = k + 4 rungs read it, from
+    :func:`designgate.gleason.next_weight_count`."""
 
-    __slots__ = ("family", "b", "next_count", "levels", "gates")
+    __slots__ = ("family", "b", "levels", "gates")
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -215,7 +209,7 @@ def member(r: int, m: int) -> Member:
     """The :class:`Member` of family r at m, built once per process and keyed
     by argument type too; the levels come from divmod, so no Fraction is built."""
     f = CodeFamily(m, r)
-    b, next_count = _extremal_counts(f.n // 8, m)
+    b = -_burmann_coefficient(f.n // 8, m + 1)
     if b <= 0:
         raise ValueError(f"degenerate block count for {f}")
     levels, gates = [], [None] * f.am_strength
@@ -228,12 +222,7 @@ def member(r: int, m: int) -> Member:
         # d_h = c_h lambda_h for h = t, t-1, ..., 0: the Horner order
         d = map(mul, offset_coefficients(range(0, 2 * t, 2))[::-1], levels[t::-1])
         gates.append((next(d), tuple(zip(d, range(t - 1, -1, -1))), annihilator_divisor(t)))
-    return Member(f, b, next_count, tuple(levels), tuple(gates))
-
-
-def block_count(f: CodeFamily) -> int:
-    """Number of blocks b = A_k = -c_{m+1} of the minimum-weight support design."""
-    return member(f.r, f.m).b
+    return Member(f, b, tuple(levels), tuple(gates))
 
 
 def lambda_levels(f: CodeFamily, levels) -> "list[int | Fraction]":
@@ -242,12 +231,13 @@ def lambda_levels(f: CodeFamily, levels) -> "list[int | Fraction]":
     int where the division is exact and a Fraction where it is not (the
     normalising gcd is paid only there).
 
-    Every level is checked to lie in [0, k] before any arithmetic; the
-    first one outside raises ValueError.
+    Every level is checked to be an int in [0, k] before any arithmetic;
+    the first one that is not raises TypeError or ValueError.
     """
     levels = list(levels)
     k, n = f.k, f.n
     for i in levels:
+        require_ints(level=i)
         if not 0 <= i <= k:
             raise ValueError(f"level {i} outside [0, {k}]")
     b = member(f.r, f.m).b
@@ -305,12 +295,13 @@ def check_lambda_levels(f: CodeFamily, levels) -> "list[tuple[int, Fraction]]":
 def scan_range(r: int, m_lo: int | None = None, m_hi: int | None = None) -> range:
     """The m range [m_lo, m_hi] of a scan over family r, defaulting to the
     family's full range [1, m_max]; ValueError if r is not a family index or
-    the range is empty or outside."""
+    the range is empty or outside, and TypeError if a bound is not an int."""
     m_max = CodeFamily(1, r).m_max
     if m_lo is None:
         m_lo = 1
     if m_hi is None:
         m_hi = m_max
+    require_ints(m_lo=m_lo, m_hi=m_hi)
     if not 1 <= m_lo <= m_hi <= m_max:
         raise ValueError(f"need 1 <= m_lo <= m_hi <= {m_max}, got [{m_lo}, {m_hi}]")
     return range(m_lo, m_hi + 1)
@@ -320,7 +311,8 @@ def scan_members(r: int, t: int, m_lo: int | None = None, m_hi: int | None = Non
     """Yield (m, [(level, lambda), ...]) for each m of ``scan_range``, with
     the levels a strength-t hypothesis adds to the base strength, up to the
     effective (strengthened) strength; the list is None for a member whose
-    block size k is below that strength."""
+    block size k is below that strength; TypeError if t is not an int."""
+    require_ints(t=t)
     for m in scan_range(r, m_lo, m_hi):
         f = member(r, m).family
         t_eff = apply_strengthening(f, t)

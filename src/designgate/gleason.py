@@ -27,14 +27,13 @@ which it takes in n/8 steps from a linear recurrence with
 polynomial coefficients (:data:`_RECURRENCE_Q`) seeded with w_0 = 1, w_1 =
 ... = w_m = 0 and w_{m+1} = -c_{m+1}, m = floor(n/24), and run to w_{a+1}.
 Three checks raise ArithmeticError: every division is exact, the centre is
-palindromic (w_{a+1} = w_{a-1}, for a >= 2), and the mirrored enumerator
-sums to 2^(n/2), its value at x = y = 1, where g1 = 16 and g2 = 0; that sum,
+palindromic (w_{a+1} = w_{a-1}), and the mirrored enumerator sums to
+2^(n/2), its value at x = y = 1, where g1 = 16 and g2 = 0; that sum,
 2 * sum(w_0..w_a) - w_a, is taken on the half before it is mirrored.  The
-drivers need only A_k = -c_{m+1} and the sign of A_{k+4}, both read from
-the member record of :func:`designgate.families.member`, which takes them
-from the Lagrange-Buermann coefficients c_j of one expansion;
-:func:`min_weight_count` gives A_k = -c_{m+1} and :func:`next_weight_count`
-A_{k+4} at any length from the same coefficients.
+drivers need only A_k = -c_{m+1}, which the member record of
+:func:`designgate.families.member` holds and :func:`min_weight_count` gives
+at any length, and the sign of A_{k+4} = w_{m+2}, which
+:func:`next_weight_count` takes from the recurrence's first step.
 """
 
 from .combinat import exact_div
@@ -42,7 +41,6 @@ from .families import (
     M_MAXES,
     Record,
     _burmann_coefficient,
-    _extremal_counts,
     _phi_power_prefix,
     require_ints,
 )
@@ -97,15 +95,17 @@ def _horner(coefficients, x: int) -> int:
     return value
 
 
-def _recurrence_prefix(n: int) -> list[int]:
-    """[A_0, A_4, ..., A_{n/2}] of the extremal enumerator of length n by the
-    seeded recurrence, with its exact-division and centre checks."""
-    _validate_length(n)
+def _recurrence_prefix(n: int, last: int) -> list[int]:
+    """[A_0, A_4, ..., A_{4 last}] of the extremal enumerator of a valid
+    length n, m + 1 <= last <= n/8 + 1, by the seeded recurrence, every
+    division checked exact."""
     a, m, N = n // 8, n // 24, n // 4
     qs = [[_horner(c, m) for c in q] for q in _RECURRENCE_Q[a - 3 * m]]
     R = len(qs) + 1
     w = [0] * R + [1] + [0] * m + [-_burmann_coefficient(a, m + 1)]  # w_i is w[R + i]
-    for i in range(m - R + 2, (a + 1 if a > 1 else a) + 1 - R):  # a = 1: all seeds
+    if a == 1:  # the step to w_2 divides by j - N = 0; w_2 = w_0 by palindromy
+        w.append(1)
+    for i in range(len(w) - 2 * R, last + 1 - R):
         x, j = i - N, i + R
         acc = i * x * (x + 1) * (x + m + 1) * (2 * x + 1) * (4 * x + 1) * (4 * x + 3) * w[R + i]
         for s, q in enumerate(qs, 1):
@@ -113,9 +113,7 @@ def _recurrence_prefix(n: int) -> list[int]:
             acc += p * w[R + i + s]
         w.append(exact_div(-acc, (j - N) * (j - m - 1) * (j - 1) * j
                            * (2 * j - 1) * (4 * j - 3) * (4 * j - 1)))
-    if a > 1 and w[R + a + 1] != w[R + a - 1]:
-        raise ArithmeticError(f"extremal enumerator of length {n} is not palindromic at its centre")
-    return w[R:R + a + 1]
+    return w[R:R + last + 1]
 
 
 class WeightEnumerator(Record):
@@ -144,9 +142,13 @@ def extremal_weight_enumerator(n: int) -> WeightEnumerator:
     """The extremal enumerator of length n: the unique basis combination with
     A_0 = 1 and A_4 = ... = A_{4 floor(n/24)} = 0, run by its recurrence up
     to weight n/2 and mirrored by A_w = A_{n-w}.  Raises ArithmeticError
-    unless the coefficients sum to 2^(n/2), checked on the computed half
-    before the mirrored list is built."""
-    prefix = _recurrence_prefix(n)
+    unless the step past the centre mirrors the one before it and the
+    coefficients sum to 2^(n/2), both checked before the mirrored list is built."""
+    _validate_length(n)
+    a = n // 8
+    prefix = _recurrence_prefix(n, a + 1)
+    if prefix.pop() != prefix[a - 1]:  # w_{a+1} = w_{a-1}; prefix is now w_0..w_a
+        raise ArithmeticError(f"extremal enumerator of length {n} is not palindromic at its centre")
     if 2 * sum(prefix) - prefix[-1] != 2 ** (n // 2):  # the sum of the mirrored list
         raise ArithmeticError(f"extremal enumerator of length {n} does not sum to 2^{n // 2}")
     coeffs = [0] * (n + 1)
@@ -170,7 +172,8 @@ def min_weight_count(n: int) -> int:
 
 
 def next_weight_count(n: int) -> int:
-    """A_{k+4} of the extremal enumerator of any valid length n, k = 4*floor(n/24)
-    + 4, unmemoised, by :func:`designgate.families._extremal_counts`."""
+    """A_{k+4}, k = 4*floor(n/24) + 4, of the extremal enumerator of any valid
+    length n, unmemoised: w_{m+2}, m = floor(n/24), the first step of the
+    seeded recurrence (at n = 8, A_8 = A_0 = 1)."""
     _validate_length(n)
-    return _extremal_counts(n // 8, n // 24)[1]
+    return _recurrence_prefix(n, n // 24 + 2)[-1]

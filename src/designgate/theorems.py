@@ -16,17 +16,19 @@ alternates lambda-integrality filters with default-offset integrality gates.
 A rung's filter passes a member whose levels lambda_0..lambda_t are counts;
 its gates run by offset length, then by weight, and the first non-integral
 quotient eliminates the member.  A member without codewords of weight k + 4
-would make a u = k + 4 gate vacuous, and raises ValueError instead.  Stage 6
-of the 24m+8 ladder carries lambda conditions only, matching the reference
-classification (which does not sharpen there); its offset-length-6 gates run
-in stage 7, where they remain valid since a 7-design is a 6-design.  One run
-of a family's ladder gives each m a terminal record, and each driver is a
-list of views over those records, ``DRIVERS``.
+would make a u = k + 4 gate vacuous, and raises ValueError instead; A_{k+4}
+is computed there only, by :func:`designgate.gleason.next_weight_count`.
+Stage 6 of the 24m+8 ladder carries lambda conditions only, matching the
+reference classification (which does not sharpen there); its offset-length-6
+gates run in stage 7, where they remain valid since a 7-design is a
+6-design.  One run of a family's ladder gives each m a terminal record, and
+each driver is a list of views over those records, ``DRIVERS``.
 """
 
 from . import reference_sets as ref
 from .families import FAMILY_LABELS, M_MAXES, THEOREM_IDS, Record, member
 from .gate import integrality_gate
+from .gleason import next_weight_count
 from .report import Report, gate_row, set_row, timestamp_now
 
 # Per family, its rungs (t, the offset lengths gated at strength t, the
@@ -88,7 +90,7 @@ def _run_ladder(r: int, rungs) -> tuple[dict, list[tuple]]:
         for i, (t, gate_ls, weights) in enumerate(rungs):
             if j <= t:  # lambda_t or a level below is not a count
                 return i, j, None
-            if 4 in weights and rec.next_count <= 0:
+            if 4 in weights and next_weight_count(f.n) <= 0:
                 raise ValueError(f"vacuous u = k + 4 gate at m = {f.m} of family {f.label}: "
                                  "no codewords there")
             for res in (integrality_gate(f, l, f.k + d) for l in gate_ls for d in weights):

@@ -12,16 +12,17 @@ from designgate.families import (
     DesignParams,
     admissible_scan,
     apply_strengthening,
-    block_count,
     check_lambda_levels,
     design_params,
     lambda_at,
     lambda_levels,
     lambda_vector,
     member,
+    scan_members,
     scan_range,
 )
 from designgate.gate import integrality_gate
+from designgate.gleason import next_weight_count
 from gleason_oracle import two_pass_prefix
 
 M_LEMMA1 = [5, 8, 15, 19, 35, 40, 41, 42, 50, 51, 52, 55, 57, 59, 60, 63, 65,
@@ -53,7 +54,7 @@ def test_block_count_closed_form_matches_enumerator(r):
     ms = sorted({1, M_MAXES[r], *range(5 if r == 0 else 0, M_MAXES[r] + 1, 5)})
     for m in ms:
         f = CodeFamily(m, r)
-        assert block_count(f) == two_pass_prefix(f.n, m + 2)[m + 1], f
+        assert member(r, m).b == two_pass_prefix(f.n, m + 2)[m + 1], f
 
 
 def test_lambda_base_closed_form():
@@ -81,7 +82,7 @@ def test_lambda_levels_exact_and_int_exactly_when_integral():
     for m, r in [(1, 0), (8, 0), (153, 0), (0, 1), (7, 1), (158, 1), (0, 2), (23, 2),
                  (163, 2)]:
         f = CodeFamily(m, r)
-        b = block_count(f)
+        b = member(r, m).b
         for i, value in zip(range(f.k + 1), lambda_levels(f, range(f.k + 1))):
             exact = Fraction(b * binom(f.k, i), binom(f.n, i))
             assert value == exact, (f, i)
@@ -132,7 +133,7 @@ def test_lambda_counting_identity(m, r):
     d = design_params(f, f.am_strength)
     vec = lambda_vector(d)
     b = vec[0]
-    assert b == block_count(f)
+    assert b == member(r, m).b
     for i, lam in enumerate(vec):
         assert lam * binom(f.n, i) == b * binom(f.k, i)
 
@@ -219,9 +220,38 @@ def test_admissible_scan_range_validation():
         admissible_scan(0, 6, 1, 200)
 
 
+F8 = CodeFamily(8, 0)
+INEXACT_CALLS = [
+    (lambda: admissible_scan(0, 6.0), "t = 6.0"),
+    (lambda: admissible_scan(0, 6, 5.0, 9), "m_lo = 5.0"),
+    (lambda: admissible_scan(0, 6, 5, 9.0), "m_hi = 9.0"),
+    (lambda: list(scan_members(2, 4, m_hi=20.0)), "m_hi = 20.0"),
+    (lambda: scan_range(1, 1.0), "m_lo = 1.0"),
+    (lambda: lambda_at(F8, 6.0), "level = 6.0"),
+    (lambda: lambda_levels(F8, [5, 6, 7.0]), "level = 7.0"),
+    (lambda: check_lambda_levels(F8, ["6"]), "level = '6'"),
+]
+
+
+@pytest.mark.parametrize("call,name", INEXACT_CALLS, ids=[name for _, name in INEXACT_CALLS])
+def test_inexact_strength_bound_or_level_is_refused_by_name(call, name):
+    # These used to fail inside range or math.comb with "'float' object cannot
+    # be interpreted as an integer", naming neither the input nor the cause.
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == f"{name}: an exact int is required"
+
+
+def test_bool_strength_bound_and_level_stay_accepted():
+    assert scan_range(0, True, 5) == range(1, 6)
+    assert lambda_at(F8, True) == lambda_at(F8, 1)
+    assert admissible_scan(1, 5, True, 20) == admissible_scan(1, 5, 1, 20)
+
+
 def test_member_records_match_the_independent_checker():
     # perfbench/checker.py takes b from the Mallows-Sloane closed forms,
-    # A_{k+4} from its own Buermann loop and each level as a Fraction.
+    # A_{k+4} from its own Buermann loop and each level as a Fraction; the
+    # program takes A_{k+4} from the recurrence's first step.
     import checker
 
     for r in range(3):
@@ -230,7 +260,7 @@ def test_member_records_match_the_independent_checker():
             f = rec.family
             assert (f.r, f.m) == (r, m)
             assert rec.b == checker.block_count(r, m), f
-            assert rec.next_count == checker.next_weight_count(f.n), f
+            assert next_weight_count(f.n) == checker.next_weight_count(f.n), f
             j = len(rec.levels) - 1
             # The ladder relies on lambda_0..lambda_s being counts everywhere,
             # and every run ends by level 8, below k: no strength a gate can

@@ -10,13 +10,7 @@ import pytest
 
 from designgate import families, gleason
 from designgate.combinat import binom
-from designgate.families import (
-    M_MAXES,
-    CodeFamily,
-    _burmann_coefficient,
-    _extremal_counts,
-    block_count,
-)
+from designgate.families import M_MAXES, _burmann_coefficient, member
 from designgate.gleason import (
     LENGTH_CAP,
     _recurrence_prefix,
@@ -114,9 +108,9 @@ def test_mirrored_enumerator_matches_full_series(n):
 
 
 def test_enumerator_sum_check_rejects_bad_series(monkeypatch):
-    def perturbed(n):
-        prefix = _recurrence_prefix(n)
-        prefix[-1] += 1  # A_{n/2}, which the mirror does not duplicate
+    def perturbed(n, last):
+        prefix = _recurrence_prefix(n, last)
+        prefix[-2] += 1  # A_{n/2}, which the mirror does not duplicate
         return prefix
 
     monkeypatch.setattr(gleason, "_recurrence_prefix", perturbed)
@@ -127,14 +121,28 @@ def test_enumerator_sum_check_rejects_bad_series(monkeypatch):
 def test_enumerator_sum_check_counts_a_mirrored_coefficient_twice(monkeypatch):
     # The check runs on the computed half as 2 * sum - A_{n/2}; a coefficient
     # below the centre appears twice in the mirrored list.
-    def perturbed(n):
-        prefix = _recurrence_prefix(n)
+    def perturbed(n, last):
+        prefix = _recurrence_prefix(n, last)
         prefix[1] += 1  # A_4, mirrored to A_{n-4}
         return prefix
 
     monkeypatch.setattr(gleason, "_recurrence_prefix", perturbed)
     with pytest.raises(ArithmeticError, match="does not sum to 2"):
         extremal_weight_enumerator(48)
+
+
+def test_enumerator_centre_check_rejects_a_wrong_step_past_the_centre(monkeypatch):
+    # The recurrence runs one step past the half, to w_{a+1}, which must equal
+    # w_{a-1}; the sum check alone never reads that step.
+    def perturbed(n, last):
+        prefix = _recurrence_prefix(n, last)
+        prefix[-1] += 1  # w_{a+1}
+        return prefix
+
+    monkeypatch.setattr(gleason, "_recurrence_prefix", perturbed)
+    for n in (8, 48):
+        with pytest.raises(ArithmeticError, match="not palindromic at its centre"):
+            extremal_weight_enumerator(n)
 
 
 def _run_under_python_O(code: str) -> str:
@@ -152,9 +160,9 @@ def test_enumerator_sum_check_survives_python_O():
         "from designgate import gleason\n"
         "assert False, 'assertions are on'\n"
         "good = gleason._recurrence_prefix\n"
-        "def bad(n):\n"
-        "    prefix = good(n)\n"
-        "    prefix[-1] += 1\n"
+        "def bad(n, last):\n"
+        "    prefix = good(n, last)\n"
+        "    prefix[-2] += 1\n"
         "    return prefix\n"
         "gleason._recurrence_prefix = bad\n"
         "try:\n"
@@ -192,7 +200,7 @@ ORACLE_PREFIX_DIGEST = "fd019597e61f38409097fafddf17de9d591f79b229ea3aa794b66dd5
 
 @functools.cache
 def recurrence_prefixes() -> dict[int, list[int]]:
-    return {n: _recurrence_prefix(n) for n in range(8, LENGTH_CAP + 1, 8)}
+    return {n: _recurrence_prefix(n, n // 8) for n in range(8, LENGTH_CAP + 1, 8)}
 
 
 def test_recurrence_matches_the_pinned_elimination_digest_at_every_length():
@@ -248,12 +256,32 @@ def test_next_weight_count_matches_series(r):
         assert next_weight_count(n) == two_pass_prefix(n, nz + 2)[nz + 2], n
 
 
-def test_next_weight_count_closed_sum_matches_the_full_buermann_loop():
-    # The checker sums the Lagrange-Buermann coefficients over the full
-    # (1 - z)^(-4j) prefix.
+def test_next_weight_count_matches_the_checker_and_the_enumerator_at_every_length():
+    # The checker's closed form -c_{m+2} - c_{m+1} (14a - 46(m+1)) sums the
+    # Lagrange-Buermann coefficients over the full (1 - z)^(-4j) prefix; the
+    # enumerator runs the recurrence past w_{m+2} to the centre, n = 8 included.
     lengths = range(8, LENGTH_CAP + 1, 8)
-    assert [next_weight_count(n) for n in lengths] == [
-        checker.next_weight_count(n) for n in lengths]
+    counts = [next_weight_count(n) for n in lengths]
+    assert counts == [checker.next_weight_count(n) for n in lengths]
+    assert counts == [extremal_weight_enumerator(n).coefficient(4 * (n // 24) + 8)
+                      for n in lengths]
+    assert counts[0] == 1  # n = 8: A_8 = A_0
+
+
+def test_next_weight_count_takes_one_recurrence_step(monkeypatch):
+    # w_{m+2} is the first step past the seeds; n = 8 has no step (A_8 = A_0).
+    steps = []
+    real = gleason.exact_div
+
+    def counting(num, den):
+        steps.append(den)
+        return real(num, den)
+
+    monkeypatch.setattr(gleason, "exact_div", counting)
+    for n in range(8, LENGTH_CAP + 1, 8):
+        steps.clear()
+        next_weight_count(n)
+        assert len(steps) == (n > 8), n
 
 
 @pytest.mark.parametrize("r", range(3))
@@ -261,7 +289,7 @@ def test_block_count_matches_the_mallows_sloane_closed_forms(r):
     # A_k = -c_{m+1} against the checker's independent closed forms, at
     # every member, the length 8 and 16 base cases (b = 14, 28) included
     for m in range(1 if r == 0 else 0, M_MAXES[r] + 1):
-        assert block_count(CodeFamily(m, r)) == checker.block_count(r, m), (r, m)
+        assert member(r, m).b == checker.block_count(r, m), (r, m)
 
 
 def test_closed_buermann_sum_refuses_a_coefficient_it_does_not_cover():
@@ -282,7 +310,7 @@ def test_next_weight_count_nonpositive_past_m_max():
     # (24m+16 at m = 164, length 3952 = 8 * 494, lies beyond LENGTH_CAP).
     assert next_weight_count(24 * 154) <= 0
     assert next_weight_count(24 * 159 + 8) <= 0
-    assert _extremal_counts(494, 164)[1] <= 0
+    assert checker.next_weight_count(3952) <= 0
 
 
 @pytest.mark.parametrize("fn", [extremal_weight_enumerator, min_weight_count,

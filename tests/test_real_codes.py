@@ -23,7 +23,7 @@ from math import comb, factorial, perm
 
 import pytest
 
-from designgate.families import CodeFamily, block_count, design_params, lambda_levels
+from designgate.families import CodeFamily, design_params, lambda_levels, member
 from designgate.gate import (
     OffsetSet,
     integrality_gate,
@@ -142,7 +142,7 @@ def test_weight_distribution_is_the_extremal_enumerator(code):
 
 def test_block_count_is_the_minimum_weight_count(code):
     f, _, _, blocks = code
-    assert block_count(f) == len(blocks)
+    assert member(f.r, f.m).b == len(blocks)
 
 
 def test_lambda_levels_count_blocks_through_i_sets(code):

@@ -36,7 +36,7 @@ def test_cross_module_private_imports_are_the_known_ones():
              if isinstance(node, ast.ImportFrom) and node.level and node.module
              for alias in node.names if alias.name.startswith("_")}
     assert found == {("gleason", "families", name) for name in (
-        "_burmann_coefficient", "_extremal_counts", "_phi_power_prefix")}
+        "_burmann_coefficient", "_phi_power_prefix")}
 
 
 def test_no_package_module_imports_future():

@@ -9,6 +9,7 @@ import pytest
 from designgate import cli, families, theorems
 from designgate import reference_sets as ref
 from designgate.families import admissible_scan
+from designgate.gleason import next_weight_count
 from designgate.report import render
 from designgate.theorems import DRIVERS, THEOREM_IDS, run_theorem
 
@@ -352,11 +353,24 @@ def test_vacuous_next_weight_gate_raises(monkeypatch, theorem_id, r, t):
     # first).  Every family-24m view runs the whole ladder, so lemma1 and
     # thm2 raise too.
     first = admissible_scan(r, t)[0]
-
-    def without_next_weight(family, m):  # every member's A_{k+4} read as 0
-        rec = families.member(family, m)
-        return families.Member(rec.family, rec.b, 0, rec.levels, rec.gates)
-
-    monkeypatch.setattr("designgate.theorems.member", without_next_weight)
+    monkeypatch.setattr("designgate.theorems.next_weight_count", lambda n: 0)  # A_{k+4} = 0
     with pytest.raises(ValueError, match=rf"vacuous u = k \+ 4 gate at m = {first}\b"):
         run_theorem(theorem_id, timestamp=False)
+
+
+@pytest.mark.parametrize("r,calls", [(0, 28), (1, 27), (2, 54)])
+def test_ladder_asks_for_next_weight_counts_only_at_its_k4_rungs(monkeypatch, r, calls):
+    # A member asks at each rung that gates at u = k + 4 and whose lambda
+    # filter it passes: a later stop, or a stop there past lambda_t.
+    lengths = []
+
+    def counting(n):
+        lengths.append(n)
+        return next_weight_count(n)
+
+    monkeypatch.setattr("designgate.theorems.next_weight_count", counting)
+    records, _ = theorems._run_ladder(r, theorems.RUNGS[r])
+    assert lengths == [24 * m + 8 * r for m, (stop, j, _) in records.items()
+                       for i, (t, _, weights) in enumerate(theorems.RUNGS[r])
+                       if 4 in weights and (stop > i or stop == i and j > t)]
+    assert len(lengths) == calls
