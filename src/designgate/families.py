@@ -260,6 +260,7 @@ def lambda_vector(d: DesignParams) -> "list[Fraction]":
 def design_params(f: CodeFamily, t: int) -> DesignParams:
     """The t-design hypothesis on the minimum-weight support design of f,
     for s <= t <= k with s the base strength."""
+    require_ints(t=t)
     s = f.am_strength
     if not s <= t <= f.k:
         raise ValueError(f"need {s} <= t <= {f.k}, got t={t}")
@@ -274,6 +275,7 @@ def apply_strengthening(f: CodeFamily, t: int) -> int:
     hypothesis strengthens to t + 1 exactly there; other strengths are
     returned unchanged.
     """
+    require_ints(t=t)
     if t < f.am_strength:
         raise ValueError(f"t = {t} below base strength {f.am_strength}")
     return t + 1 if t == f.am_strength + 1 else t

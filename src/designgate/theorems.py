@@ -17,16 +17,20 @@ A rung's filter passes a member whose levels lambda_0..lambda_t are counts;
 its gates run by offset length, then by weight, and the first non-integral
 quotient eliminates the member.  A member without codewords of weight k + 4
 would make a u = k + 4 gate vacuous, and raises ValueError instead; A_{k+4}
-is computed there only, by :func:`designgate.gleason.next_weight_count`.
+is computed there only, once per member at the first such rung it reaches,
+by :func:`designgate.gleason.next_weight_count`.
 Stage 6 of the 24m+8 ladder carries lambda conditions only, matching the
 reference classification (which does not sharpen there); its offset-length-6
 gates run in stage 7, where they remain valid since a 7-design is a
 6-design.  One run of a family's ladder gives each m a terminal record, and
-each driver is a list of views over those records, ``DRIVERS``.
+each driver is a list of views over those records, ``DRIVERS``.  The run
+stops after the highest rung a driver's views read, so lemma1 runs no gate,
+thm2 the u = k rung only, thm1 and thm3 the two strength-7 rungs, and thm4
+and thm5.x the whole ladder; ``--t`` drops the thm5.x views above it.
 """
 
 from . import reference_sets as ref
-from .families import FAMILY_LABELS, M_MAXES, THEOREM_IDS, Record, member
+from .families import FAMILY_LABELS, M_MAXES, THEOREM_IDS, Record, member, require_ints
 from .gate import integrality_gate
 from .gleason import next_weight_count
 from .report import Report, gate_row, set_row, timestamp_now
@@ -46,7 +50,9 @@ RUNGS = (
 # non-count lambda level is above s.  A view with a mismatch label diffs its
 # set against the named reference as it reads when the driver runs (a staged
 # family's sets by stage; no name for the empty set).  A quotient check
-# (gate label, table name) diffs each of the rung's gate quotients.
+# (gate label, table name) diffs each of the rung's gate quotients.  A view
+# reads the rungs up to its own, or for an int s only those below it: a
+# member that passes every rung that ran stops at or past its rung.
 _ADMISSIBLE = ("strength-6 lambda-admissible", None, 0, 7, "LEMMA1_M", "lambda-admissible set")
 _U_K = ("eliminated by u=k gate", 7, 0, "eliminated", "THM2_ELIMINATED", "u=k eliminated",
         ("u=k", "TABLE1_QUOTIENTS"))
@@ -82,15 +88,16 @@ def _run_ladder(r: int, rungs) -> tuple[dict, list[tuple]]:
     terminal record (the index of the rung where m stops, or the number of
     rungs for a survivor; the index of its first lambda level that is not a
     count; the failing gate result, or None), and every gate result with its
-    rung index, in execution order."""
-    gates = []
+    rung index, in execution order.  A member's A_{k+4} is checked once, at
+    the first rung that gates at u = k + 4."""
+    gates, first_k4 = [], next((i for i, (_, _, ws) in enumerate(rungs) if 4 in ws), None)
 
     def terminal(rec) -> tuple:
         f, j = rec.family, len(rec.levels)
         for i, (t, gate_ls, weights) in enumerate(rungs):
             if j <= t:  # lambda_t or a level below is not a count
                 return i, j, None
-            if 4 in weights and next_weight_count(f.n) <= 0:
+            if i == first_k4 and next_weight_count(f.n) <= 0:
                 raise ValueError(f"vacuous u = k + 4 gate at m = {f.m} of family {f.label}: "
                                  "no codewords there")
             for res in (integrality_gate(f, l, f.k + d) for l in gate_ls for d in weights):
@@ -128,16 +135,17 @@ def run_theorem(theorem_id: str, timestamp: bool = True,
     if theorem_id not in DRIVERS:
         raise ValueError(f"unknown id {theorem_id!r}; expected one of {THEOREM_IDS}")
     r, views = DRIVERS[theorem_id]
-    rungs = RUNGS[r]
     if upto_t is not None:
+        require_ints(upto_t=upto_t)
         if r == 0:
             raise ValueError("--t staging only applies to thm5.1 / thm5.2")
-        if upto_t < rungs[0][0]:
-            raise ValueError(f"{theorem_id} starts at strength {rungs[0][0]}; "
+        if upto_t < RUNGS[r][0][0]:
+            raise ValueError(f"{theorem_id} starts at strength {RUNGS[r][0][0]}; "
                              f"--t {upto_t} is below it")
-        rungs = [rung for rung in rungs if rung[0] <= upto_t]
-        views = views[:len(rungs)]  # thm5.x: one view per rung
-    records, gates = _run_ladder(r, rungs)
+        views = [view for view in views if view[1] <= upto_t]
+    # The ladder stops after the highest rung a view reads.
+    cut = max(rung + 1 if isinstance(shown, str) else rung for _, _, rung, shown, *_ in views)
+    records, gates = _run_ladder(r, RUNGS[r][:cut])
     report = Report(id=theorem_id, inputs={"family": FAMILY_LABELS[r], "m_range": [1, M_MAXES[r]]},
                     generated_at=timestamp_now() if timestamp else None)
     mismatches = []

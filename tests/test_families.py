@@ -230,6 +230,8 @@ INEXACT_CALLS = [
     (lambda: lambda_at(F8, 6.0), "level = 6.0"),
     (lambda: lambda_levels(F8, [5, 6, 7.0]), "level = 7.0"),
     (lambda: check_lambda_levels(F8, ["6"]), "level = '6'"),
+    (lambda: apply_strengthening(F8, 7.0), "t = 7.0"),  # 6.0 used to return 7.0
+    (lambda: design_params(F8, 8.0), "t = 8.0"),  # used to name "level = 8.0"
 ]
 
 
@@ -246,6 +248,8 @@ def test_bool_strength_bound_and_level_stay_accepted():
     assert scan_range(0, True, 5) == range(1, 6)
     assert lambda_at(F8, True) == lambda_at(F8, 1)
     assert admissible_scan(1, 5, True, 20) == admissible_scan(1, 5, 1, 20)
+    with pytest.raises(ValueError, match=r"^t = True below base strength 5$"):
+        apply_strengthening(F8, True)
 
 
 def test_member_records_match_the_independent_checker():

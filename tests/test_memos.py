@@ -35,7 +35,7 @@ def test_the_package_has_exactly_one_memo():
     assert uses == len(decorated)  # no memo is made other than by decorating a def
 
 
-def test_the_seven_drivers_make_one_buermann_evaluation_per_member_and_next_weight_count(
+def test_the_seven_drivers_make_one_buermann_evaluation_per_member_and_per_k4_ask(
         member_builds, monkeypatch):
     calls = []
     real = families._burmann_coefficient
@@ -50,7 +50,8 @@ def test_the_seven_drivers_make_one_buermann_evaluation_per_member_and_next_weig
         run_theorem(theorem_id, timestamp=False)
     # Every m >= 1 of every family enters its ladder; each record is built
     # once, with c_{m+1} alone.  The recurrence behind each A_{k+4} the
-    # ladders ask for at their u = k + 4 rungs (5 * 28 + 27 + 54 = 221 of them,
-    # test_theorems.py counts them) is seeded with one more c_{m+1}.
+    # ladders ask for, once per member reaching a u = k + 4 rung
+    # (3 * 27 + 27 + 24 + 36 = 141 asks, test_theorems.py counts them per
+    # driver), is seeded with one more c_{m+1}.
     assert sorted(member_builds) == [(r, m) for r in range(3) for m in range(1, M_MAXES[r] + 1)]
-    assert len(calls) == len(member_builds) + 221 == 474 + 221
+    assert len(calls) == len(member_builds) + 141 == 474 + 141

@@ -166,6 +166,12 @@ def test_unknown_id_rejected():
         run_theorem("thm5.1", upto_t=4)
     with pytest.raises(ValueError, match=r"^thm5\.2 starts at strength 3; --t 2 is below it$"):
         run_theorem("thm5.2", upto_t=2)
+    # An inexact strength is refused by name; 5.5 used to give the t = 5 report.
+    for upto_t in (5.5, 5.0, "6"):
+        with pytest.raises(TypeError, match=rf"^upto_t = {upto_t!r}: an exact int is required$"):
+            run_theorem("thm5.1", upto_t=upto_t)
+    with pytest.raises(ValueError, match=r"^thm5\.1 starts at strength 5; --t True is below it$"):
+        run_theorem("thm5.1", upto_t=True)  # a bool stays accepted
 
 
 def test_all_ids_exposed():
@@ -187,9 +193,14 @@ def test_driver_table_lists_the_ids_the_cli_offers():
 CHECKER_24M = (((6, 7), ((7, 0),)), ((), ((7, 4),)), ((8,), ((8, 0), (8, 4))))
 
 
+# How many of the family-24m rungs each driver climbs: up to the highest rung
+# that one of its views reads.
+RUNGS_CLIMBED_24M = {"lemma1": 0, "thm2": 1, "thm1": 2, "thm3": 2, "thm4": 3}
+
+
 def _checker_ladder(theorem_id, upto_t):
     if theorem_id not in checker.LADDERS:
-        return 0, CHECKER_24M
+        return 0, CHECKER_24M[:RUNGS_CLIMBED_24M[theorem_id]]
     r, stages = checker.LADDERS[theorem_id]
     return r, tuple((levels, tuple((l, d) for l in ls for d in (0, 4)))
                     for t, levels, ls in stages if upto_t is None or t <= upto_t)
@@ -350,18 +361,26 @@ def test_driver_report_matches_the_independent_checker(checker_reports, theorem_
 def test_vacuous_next_weight_gate_raises(monkeypatch, theorem_id, r, t):
     # The first member to reach a u = k + 4 gate is the first of the first
     # rung's lambda scan (in family 24m, that member passes the u = k rung
-    # first).  Every family-24m view runs the whole ladder, so lemma1 and
-    # thm2 raise too.
-    first = admissible_scan(r, t)[0]
-    monkeypatch.setattr("designgate.theorems.next_weight_count", lambda n: 0)  # A_{k+4} = 0
+    # first).  lemma1 and thm2 stop their ladder below the u = k + 4 rung, so
+    # they never ask for A_{k+4} and give their usual report.
+    first, calls = admissible_scan(r, t)[0], []
+    monkeypatch.setattr("designgate.theorems.next_weight_count",
+                        lambda n: calls.append(n) or 0)  # A_{k+4} = 0
+    if theorem_id in ("lemma1", "thm2"):
+        report = run_theorem(theorem_id, timestamp=False).report
+        assert calls == []
+        assert hashlib.sha256(render(report, "json").encode()).hexdigest() == GOLDEN[
+            theorem_id, None]["json"]
+        return
     with pytest.raises(ValueError, match=rf"vacuous u = k \+ 4 gate at m = {first}\b"):
         run_theorem(theorem_id, timestamp=False)
 
 
-@pytest.mark.parametrize("r,calls", [(0, 28), (1, 27), (2, 54)])
-def test_ladder_asks_for_next_weight_counts_only_at_its_k4_rungs(monkeypatch, r, calls):
-    # A member asks at each rung that gates at u = k + 4 and whose lambda
-    # filter it passes: a later stop, or a stop there past lambda_t.
+@pytest.mark.parametrize("r,calls", [(0, 27), (1, 24), (2, 36)])
+def test_ladder_asks_for_next_weight_count_once_per_member_at_its_k4_rungs(
+        monkeypatch, r, calls):
+    # A member asks once, at the first rung that gates at u = k + 4 and whose
+    # lambda filter it passes: a later stop, or a stop there past lambda_t.
     lengths = []
 
     def counting(n):
@@ -371,6 +390,22 @@ def test_ladder_asks_for_next_weight_counts_only_at_its_k4_rungs(monkeypatch, r,
     monkeypatch.setattr("designgate.theorems.next_weight_count", counting)
     records, _ = theorems._run_ladder(r, theorems.RUNGS[r])
     assert lengths == [24 * m + 8 * r for m, (stop, j, _) in records.items()
-                       for i, (t, _, weights) in enumerate(theorems.RUNGS[r])
-                       if 4 in weights and (stop > i or stop == i and j > t)]
+                       if any(4 in weights and (stop > i or stop == i and j > t)
+                              for i, (t, _, weights) in enumerate(theorems.RUNGS[r]))]
     assert len(lengths) == calls
+
+
+@pytest.mark.parametrize("theorem_id,gate_cells,asks", [
+    ("lemma1", 0, 0), ("thm1", 66, 27), ("thm2", 39, 0), ("thm3", 66, 27), ("thm4", 68, 27),
+    ("thm5.1", 44, 24), ("thm5.2", 107, 36)])
+def test_each_driver_climbs_only_the_rungs_its_views_read(monkeypatch, theorem_id, gate_cells,
+                                                          asks):
+    # The gate cells a driver evaluates and the A_{k+4} it asks for: each
+    # family-24m driver stops below the rungs none of its views read.
+    gates, asked = [], []
+    real_gate = theorems.integrality_gate
+    monkeypatch.setattr(theorems, "integrality_gate", lambda *a: gates.append(a) or real_gate(*a))
+    monkeypatch.setattr(theorems, "next_weight_count",
+                        lambda n: asked.append(n) or next_weight_count(n))
+    run_theorem(theorem_id, timestamp=False)
+    assert (len(gates), len(asked)) == (gate_cells, asks)
